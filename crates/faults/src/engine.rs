@@ -4,9 +4,10 @@
 //! Installation schedules one `Event::Control { token: i }` per plan entry
 //! through the simulator's calendar queue, so faults fire in the same
 //! deterministic `(time, sequence)` total order as packets. On the arrival
-//! hot path the engine keeps two small maps — failed switches and per-link
-//! state keyed by the *arrival* `(node, port)` endpoint — and early-outs
-//! when neither applies, so a clean link costs two hash probes per packet.
+//! hot path the engine keeps two dense tables indexed by node id — failed
+//! switches, and per-link state by the *arrival* `(node, port)` endpoint,
+//! grown on first touch — and early-outs when neither applies, so a clean
+//! link costs two bounds-checked array reads per packet.
 
 use crate::loss::LinkLoss;
 use crate::plan::{FaultEvent, FaultPlan};
@@ -14,7 +15,6 @@ use dcp_netsim::fault::{FaultPlane, FaultVerdict};
 use dcp_netsim::sim::{Event, Simulator};
 use dcp_netsim::{Nanos, NodeId, Packet, PortId};
 use dcp_telemetry::{FaultKind, ProbeEvent};
-use std::collections::{HashMap, HashSet};
 
 /// The per-link RNG stream seed: plan seed mixed with the link's arrival
 /// key through SplitMix64's finalizer, so neighbouring links get unrelated
@@ -37,8 +37,10 @@ struct LinkState {
 /// Executes a [`FaultPlan`]; install with [`FaultEngine::install`].
 pub struct FaultEngine {
     plan: FaultPlan,
-    links: HashMap<(u32, PortId), LinkState>,
-    failed: HashSet<u32>,
+    /// `links[node][port]`: state of the link arriving at that endpoint.
+    links: Vec<Vec<LinkState>>,
+    /// `failed[node]`: the switch is down.
+    failed: Vec<bool>,
     /// Pause storms whose clear-control has been scheduled past the plan's
     /// token space: token `plan.events.len() + i` clears `storm_clears[i]`.
     storm_clears: Vec<(NodeId, PortId)>,
@@ -57,12 +59,8 @@ impl FaultEngine {
         for (i, t) in plan.events.iter().enumerate() {
             sim.schedule_control(t.at.max(sim.now()), i as u64);
         }
-        let engine = FaultEngine {
-            plan,
-            links: HashMap::new(),
-            failed: HashSet::new(),
-            storm_clears: Vec::new(),
-        };
+        let engine =
+            FaultEngine { plan, links: Vec::new(), failed: Vec::new(), storm_clears: Vec::new() };
         sim.set_fault_plane(Box::new(engine));
     }
 
@@ -75,8 +73,24 @@ impl FaultEngine {
         Ok(())
     }
 
-    fn link_mut(&mut self, key: (NodeId, PortId)) -> &mut LinkState {
-        self.links.entry((key.0 .0, key.1)).or_default()
+    fn link_mut(&mut self, (node, port): (NodeId, PortId)) -> &mut LinkState {
+        let n = node.0 as usize;
+        if self.links.len() <= n {
+            self.links.resize_with(n + 1, Vec::new);
+        }
+        let ports = &mut self.links[n];
+        if ports.len() <= port {
+            ports.resize_with(port + 1, LinkState::default);
+        }
+        &mut ports[port]
+    }
+
+    fn set_failed(&mut self, sw: NodeId, failed: bool) {
+        let n = sw.0 as usize;
+        if self.failed.len() <= n {
+            self.failed.resize(n + 1, false);
+        }
+        self.failed[n] = failed;
     }
 
     fn emit(sim: &mut Simulator, ev: ProbeEvent) {
@@ -120,12 +134,12 @@ impl FaultEngine {
                 );
             }
             FaultEvent::SwitchFail { sw } => {
-                self.failed.insert(sw.0);
+                self.set_failed(sw, true);
                 sim.fail_switch(sw);
                 Self::emit(sim, ProbeEvent::Fault { node: sw.0, port: 0, kind: FaultKind::Switch });
             }
             FaultEvent::SwitchRecover { sw } => {
-                self.failed.remove(&sw.0);
+                self.set_failed(sw, false);
                 sim.recover_switch(sw);
                 Self::emit(
                     sim,
@@ -184,10 +198,11 @@ impl FaultPlane for FaultEngine {
         port: PortId,
         pkt: &Packet,
     ) -> FaultVerdict {
-        if self.failed.contains(&node.0) {
+        let n = node.0 as usize;
+        if self.failed.get(n).copied().unwrap_or(false) {
             return FaultVerdict::Drop;
         }
-        let Some(link) = self.links.get_mut(&(node.0, port)) else {
+        let Some(link) = self.links.get_mut(n).and_then(|ports| ports.get_mut(port)) else {
             return FaultVerdict::Deliver;
         };
         if link.down {

@@ -1,4 +1,4 @@
-//! Calendar-queue/heap hybrid for the event engine's hot path.
+//! Calendar queue for the event engine's hot path.
 //!
 //! The simulator's pending-event set is dominated by near-future events
 //! (packet arrivals and port-free events a few hundred nanoseconds out)
@@ -6,35 +6,46 @@
 //! global binary heap pays `O(log n)` per operation on everything; this
 //! queue gives the near-future majority `O(1)` inserts by spreading them
 //! over a wheel of time buckets, and only the current bucket — a handful
-//! of events — lives in a heap.
+//! of events — is kept in order, as a sorted `Vec`.
 //!
 //! Layout, from soonest to latest:
 //!
-//! * `cur`: min-heap of every pending event before `cur_start + WIDTH`
-//!   (the *current bucket*). `peek`/`pop` only ever touch this heap.
+//! * `cur`: every pending event before `cur_start + WIDTH` (the *current
+//!   bucket*), sorted by descending key so the minimum is the tail:
+//!   `peek`/`pop` are `O(1)` and only ever touch this vector. An insert
+//!   into the current window binary-searches its slot.
 //! * `buckets`: a power-of-two wheel of unsorted `Vec`s covering
 //!   `[cur_start + WIDTH, cur_start + WIDTH * NBUCKETS)`; slot =
-//!   `(at / WIDTH) % NBUCKETS`. Inserts are a push; a bucket is heapified
-//!   wholesale (O(n)) only when the wheel rotates onto it.
+//!   `(at / WIDTH) % NBUCKETS`. Inserts are a push; a bucket is sorted
+//!   once, wholesale, when the wheel rotates onto it.
 //! * `overflow`: min-heap for everything at or past the wheel horizon.
 //!   Entries migrate onto the wheel as the horizon advances past them.
+//!
+//! A peek rotates the wheel up to the next pending entry, which may lie far
+//! past the caller's clock (the next event is a timer 200 µs out, say). An
+//! insert before `cur_start` therefore rewinds the wheel to its own window
+//! first, so events scheduled in that gap are bucketed as usual instead of
+//! all piling into the sorted current bucket. Every pending entry is at or
+//! after `cur_start`.
 //!
 //! Ordering contract — the part determinism rests on: keys are `(at, seq)`
 //! with `seq` a unique insertion counter, and `pop` returns entries in
 //! exactly ascending `(at, seq)` order, byte-for-byte the order the old
-//! global `BinaryHeap` produced. The structure only changes *where* an
-//! entry waits, never how ties break: same-`at` entries always share a
-//! bucket window, so they meet again in `cur` before either can be popped.
+//! global `BinaryHeap` produced. Keys are unique, so any correct min-queue
+//! pops the same sequence. The structure only changes *where* an entry
+//! waits, never how ties break: same-`at` entries always share a bucket
+//! window, so they meet again in `cur` before either can be popped.
 //!
 //! The bucket width adapts to the pending-event density (deterministically:
 //! the triggers are pure functions of the operation sequence). Sustained
 //! crowded rotations — the >20k-pending incast regime, where a fixed-width
-//! bucket would hold hundreds of entries and every pop pays a deep heap —
-//! halve the width; long runs of empty rotations double it back. A width
-//! change re-buckets all pending entries in one O(n) pass and is rare by
-//! hysteresis; it never affects pop order.
+//! bucket would hold hundreds of entries and every current-window insert
+//! shifts a long vector — halve the width; long runs of empty rotations
+//! double it back. A width change re-buckets all pending entries in one
+//! pass and is rare by hysteresis; it never affects pop order.
 
 use crate::time::Nanos;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// log2 of the starting bucket width: 1024 ns per bucket.
@@ -45,7 +56,7 @@ const MAX_WIDTH_LOG2: u32 = 20;
 /// Wheel size (power of two): horizon = width * NBUCKETS (≈1 ms at the
 /// default width).
 const NBUCKETS: usize = 1024;
-/// A rotation heapifying more entries than this counts as crowded.
+/// A rotation sorting more entries than this counts as crowded.
 const CROWDED_BUCKET: usize = 64;
 /// Consecutive crowded rotations before the width halves.
 const SHRINK_AFTER: u32 = 8;
@@ -79,9 +90,8 @@ impl<T> PartialOrd for Entry<T> {
     }
 }
 // Reversed on purpose: `BinaryHeap<Entry>` is a max-heap, so inverting the
-// key comparison turns it into the min-queue we need without a `Reverse`
-// wrapper — which lets `BinaryHeap::from(bucket_vec)` heapify a bucket's
-// storage in place, allocation-free.
+// key comparison turns the overflow heap into the min-queue we need without
+// a `Reverse` wrapper.
 impl<T> Ord for Entry<T> {
     fn cmp(&self, o: &Self) -> std::cmp::Ordering {
         o.key().cmp(&self.key())
@@ -94,8 +104,9 @@ pub struct EventQueue<T> {
     width_log2: u32,
     /// Start of the current bucket's window; multiple of the width.
     cur_start: Nanos,
-    /// Min-heap of all entries with `at < cur_start + width`.
-    cur: BinaryHeap<Entry<T>>,
+    /// All entries with `at < cur_start + width`, sorted by descending key
+    /// (the next entry to pop is the last).
+    cur: Vec<Entry<T>>,
     buckets: Vec<Vec<Entry<T>>>,
     /// Total entries across `buckets`.
     in_buckets: usize,
@@ -104,13 +115,12 @@ pub struct EventQueue<T> {
     peak_len: usize,
     /// Consecutive crowded rotations (shrink trigger).
     crowded_rotations: u32,
-    /// Rotations and total entries heapified in the current grow-evaluation
+    /// Rotations and total entries sorted in the current grow-evaluation
     /// window.
     window_rotations: u32,
     window_rotated: u64,
-    /// Largest bucket ever heapified in one rotation — the structure's
-    /// actual per-pop heap depth exposure, which adaptation exists to
-    /// bound.
+    /// Largest bucket ever sorted in one rotation — the structure's actual
+    /// current-bucket size exposure, which adaptation exists to bound.
     peak_rotated: usize,
 }
 
@@ -125,7 +135,7 @@ impl<T> EventQueue<T> {
         EventQueue {
             width_log2: DEFAULT_WIDTH_LOG2,
             cur_start: 0,
-            cur: BinaryHeap::new(),
+            cur: Vec::new(),
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             in_buckets: 0,
             overflow: BinaryHeap::new(),
@@ -156,7 +166,7 @@ impl<T> EventQueue<T> {
         self.width_log2
     }
 
-    /// Largest single-rotation heapify so far — bounded by adaptation even
+    /// Largest single-rotation sort so far — bounded by adaptation even
     /// when tens of thousands of events are pending.
     pub fn peak_rotated(&self) -> usize {
         self.peak_rotated
@@ -176,7 +186,9 @@ impl<T> EventQueue<T> {
     #[inline]
     fn place(&mut self, e: Entry<T>) {
         if e.at < self.cur_start + self.width() {
-            self.cur.push(e);
+            let key = e.key();
+            let pos = self.cur.partition_point(|x| x.key() > key);
+            self.cur.insert(pos, e);
         } else if e.at < self.horizon() {
             self.buckets[(e.at >> self.width_log2) as usize & (NBUCKETS - 1)].push(e);
             self.in_buckets += 1;
@@ -191,12 +203,42 @@ impl<T> EventQueue<T> {
     pub fn insert(&mut self, at: Nanos, seq: u64, item: T) {
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
+        if at < self.cur_start {
+            self.rewind(at);
+        }
         self.place(Entry { at, seq, item });
     }
 
-    /// Re-buckets every pending entry under a new width: one O(n) pass,
-    /// rare by hysteresis. Pop order is unaffected — only *where* entries
-    /// wait changes.
+    /// Moves the current window back to the one holding `at`, for a late
+    /// insert after a peek (see module docs). Wheel windows pushed past the
+    /// shortened horizon spill to overflow, and current-bucket entries past
+    /// the new window go back to the wheel.
+    fn rewind(&mut self, at: Nanos) {
+        let w = self.width_log2;
+        let old_horizon = self.horizon();
+        self.cur_start = (at >> w) << w;
+        let horizon = self.horizon();
+        let spilled = ((old_horizon - horizon) >> w).min(NBUCKETS as Nanos);
+        for k in 0..spilled {
+            let b = &mut self.buckets[((horizon >> w) + k) as usize & (NBUCKETS - 1)];
+            self.in_buckets -= b.len();
+            self.overflow.extend(b.drain(..));
+        }
+        let end = self.cur_start + self.width();
+        let n = self.cur.partition_point(|e| e.at >= end);
+        for e in self.cur.drain(..n) {
+            if e.at < horizon {
+                self.buckets[(e.at >> w) as usize & (NBUCKETS - 1)].push(e);
+                self.in_buckets += 1;
+            } else {
+                self.overflow.push(e);
+            }
+        }
+    }
+
+    /// Re-buckets every pending entry under a new width: one pass, rare by
+    /// hysteresis. Pop order is unaffected — only *where* entries wait
+    /// changes.
     fn set_width(&mut self, new_log2: u32) {
         let mut all: Vec<Entry<T>> = Vec::with_capacity(self.len);
         // `cur` must be re-placed too: when the width shrinks, entries it
@@ -209,9 +251,8 @@ impl<T> EventQueue<T> {
         all.extend(std::mem::take(&mut self.overflow));
         self.in_buckets = 0;
         self.width_log2 = new_log2;
-        // Realign the current window. Entries below `cur_start` (late
-        // inserts after the wheel advanced) re-enter `cur` via `place`'s
-        // `< cur_start + width` test, so nothing is stranded.
+        // Realign the current window; no entry precedes it (late inserts
+        // rewind it first).
         self.cur_start = (self.cur_start >> new_log2) << new_log2;
         for e in all {
             self.place(e);
@@ -225,14 +266,14 @@ impl<T> EventQueue<T> {
     /// next entry may rotate the wheel (a reorganization, not a removal).
     pub fn next_at(&mut self) -> Option<Nanos> {
         self.advance();
-        self.cur.peek().map(|e| e.at)
+        self.cur.last().map(|e| e.at)
     }
 
     /// Full `(at, seq)` key of the earliest pending entry — what lets a
     /// shard merge this queue with its timer wheel into one total order.
     pub fn next_key(&mut self) -> Option<(Nanos, u64)> {
         self.advance();
-        self.cur.peek().map(|e| e.key())
+        self.cur.last().map(|e| e.key())
     }
 
     /// Removes and returns the earliest entry as `(at, seq, item)`.
@@ -248,32 +289,35 @@ impl<T> EventQueue<T> {
     /// later buckets/overflow is strictly after the current window.
     fn advance(&mut self) {
         while self.cur.is_empty() && self.len > 0 {
-            if self.in_buckets > 0 {
+            let rotated = if self.in_buckets > 0 {
                 self.cur_start += self.width();
                 let idx = (self.cur_start >> self.width_log2) as usize & (NBUCKETS - 1);
                 let v = std::mem::take(&mut self.buckets[idx]);
                 self.in_buckets -= v.len();
-                let rotated = v.len();
-                self.peak_rotated = self.peak_rotated.max(rotated);
-                // Heapify in place and hand the drained heap's storage back
-                // to the slot so bucket capacity is recycled.
-                let old = std::mem::replace(&mut self.cur, BinaryHeap::from(v));
-                self.buckets[idx] = old.into_vec();
-                self.migrate_overflow();
-                self.adapt(rotated);
+                // Hand the drained `cur`'s storage back to the slot so bucket
+                // capacity is recycled.
+                self.buckets[idx] = std::mem::replace(&mut self.cur, v);
+                Some(self.cur.len())
             } else {
                 // Only overflow left: jump the wheel straight to its min
                 // instead of rotating through empty buckets (a far-future
                 // RTO would otherwise cost millions of rotations).
                 let at = self.overflow.peek().expect("len>0 with empty wheel").at;
                 self.cur_start = (at >> self.width_log2) << self.width_log2;
-                self.migrate_overflow();
+                None
+            };
+            self.migrate_overflow();
+            // One sort per rotation, descending so pops come off the tail.
+            self.cur.sort_unstable_by_key(|e| Reverse(e.key()));
+            if let Some(rotated) = rotated {
+                self.peak_rotated = self.peak_rotated.max(rotated);
+                self.adapt(rotated);
             }
         }
     }
 
     /// Width adaptation, fed one rotation's bucket size. Sustained crowded
-    /// rotations halve the width (deep per-pop heaps otherwise); a window
+    /// rotations halve the width (long current buckets otherwise); a window
     /// averaging under one entry per rotated bucket doubles it back (the
     /// rotations are mostly wasted work).
     fn adapt(&mut self, rotated: usize) {
@@ -301,7 +345,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Moves overflow entries that fell inside the (advanced) horizon onto
-    /// the wheel.
+    /// the wheel. Entries for the current window are appended unsorted;
+    /// `advance` sorts `cur` right after.
     fn migrate_overflow(&mut self) {
         let horizon = self.horizon();
         while self.overflow.peek().is_some_and(|e| e.at < horizon) {
@@ -410,7 +455,7 @@ mod tests {
 
     /// The >20k-pending incast regime: sustained density far above the
     /// default bucket capacity. The width must shrink (deterministically),
-    /// per-rotation heapifies must stay bounded instead of scaling with the
+    /// per-rotation sorts must stay bounded instead of scaling with the
     /// pending count — the structural guarantee behind non-super-linear
     /// cost — and the pop order must still exactly match a reference sort.
     #[test]
@@ -449,7 +494,7 @@ mod tests {
         );
         assert!(
             q.peak_rotated() < 2_048,
-            "per-rotation heapify must stay bounded with 30k pending, saw {}",
+            "per-rotation sort must stay bounded with 30k pending, saw {}",
             q.peak_rotated()
         );
     }
@@ -481,6 +526,22 @@ mod tests {
             "sparse phase must grow the width back (still {})",
             q.width_log2()
         );
+    }
+
+    /// A peek that rotates the wheel far ahead must not make the inserts
+    /// scheduled in the gap pile into the current bucket.
+    #[test]
+    fn late_inserts_after_a_far_peek_are_bucketed() {
+        let mut q = EventQueue::new();
+        q.insert(200_000, 0, 0u32);
+        assert_eq!(q.next_at(), Some(200_000));
+        for i in 0..1_000u64 {
+            q.insert(i * 100, i + 1, 0);
+        }
+        assert_eq!(q.cur.len(), 11, "only the [0, 1024) window belongs in the current bucket");
+        let order = drain_sorted(&mut q);
+        assert_eq!(order.len(), 1_001);
+        assert_eq!(order.last(), Some(&(200_000, 0)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! riding a propagation event, staged in a host NIC — lives in one
 //! [`PacketPool`] owned by the simulator, and moves through the hot path as
 //! an 8-byte [`PktRef`] instead of a ~200-byte struct. That keeps calendar
-//! queue buckets, heapify swaps and `VecDeque` rotations down to
+//! queue buckets, bucket sorts and `VecDeque` rotations down to
 //! handle-sized memcpys, which is where the event-loop working set comes
 //! from at 256-host CLOS scale.
 //!

@@ -327,7 +327,6 @@ fn dispatch(shard: &mut Shard, ix: usize, sh: &EngineShared<'_>, node_id: NodeId
             unreachable!("switches have no endpoints")
         }
         (_, Event::Control { .. }) => unreachable!("Control handled before dispatch"),
-        (Node::Empty, _) => unreachable!("event for node under processing"),
     });
 }
 
@@ -344,8 +343,7 @@ pub(crate) fn with_shard_node(
     debug_assert_eq!(sh.node_shard[id.0 as usize] as usize, ix, "node walked by wrong shard");
     // SAFETY: `id` belongs to shard `ix` (asserted above) and this shard is
     // walked by exactly one worker; handlers never touch other nodes.
-    let slot = unsafe { sh.view.node_mut(id.0 as usize) };
-    let mut node = std::mem::replace(slot, Node::Empty);
+    let node = unsafe { sh.view.node_mut(id.0 as usize) };
     let mut out = std::mem::take(&mut shard.scratch);
     {
         let mut ctx = NodeCtx {
@@ -356,10 +354,8 @@ pub(crate) fn with_shard_node(
             completions: &mut shard.completions,
             probe: sh.probe_on.then_some(&mut shard.bufp as &mut dyn Probe),
         };
-        f(&mut node, &mut ctx);
+        f(node, &mut ctx);
     }
-    // SAFETY: same slot as above; `f` has returned so no aliasing borrow.
-    *unsafe { sh.view.node_mut(id.0 as usize) } = node;
     for (at, ev) in out.drain(..) {
         route_emission(shard, ix, sh, at, ev);
     }
@@ -423,7 +419,7 @@ fn fault_intercept(
     port: PortId,
     pkt: PktRef,
 ) -> bool {
-    if shard.fault_immune.remove(&pkt) {
+    if !shard.fault_immune.is_empty() && shard.fault_immune.remove(&pkt) {
         return false;
     }
     let verdict = match sh.plane {
@@ -895,7 +891,6 @@ impl Simulator {
                         }
                     }
                 }
-                Node::Empty => {}
             }
         }
         if la == 0 {

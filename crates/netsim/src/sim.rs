@@ -37,7 +37,7 @@ use std::sync::Mutex;
 ///
 /// Events are handle-sized and `Copy`: a packet rides through the calendar
 /// queue as its 8-byte [`PktRef`] into the simulator's [`PacketPool`], so
-/// bucket pushes and heapify swaps move ≤ 32 bytes
+/// bucket pushes, sorts and heap swaps move ≤ 32 bytes
 /// (`event_stays_handle_sized` locks this).
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
@@ -103,8 +103,6 @@ impl NodeCtx<'_> {
 pub enum Node {
     Host(Host),
     Switch(Switch),
-    /// Transient placeholder while a node is being processed.
-    Empty,
 }
 
 /// The simulator: owns all nodes, the engine shards and the control plane.
@@ -379,14 +377,15 @@ impl Simulator {
         }
     }
 
-    /// Serial (non-window) node access: control-plane paths, `post`/`kick`
-    /// from harness code, cable flips. Uses the owning shard's pool/RNG and
-    /// routes emissions across shards directly (no mailboxes — this runs
-    /// with exclusive access to everything).
+    /// Serial node access: the single-shard event loop, control-plane
+    /// paths, `post`/`kick` from harness code, cable flips. Hands `f` the
+    /// node in place, uses the owning shard's pool/RNG and routes emissions
+    /// across shards directly (no mailboxes — this runs with exclusive
+    /// access to everything).
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut Node, &mut NodeCtx)) {
         let s = self.shard_of(id);
         let sharded = self.shards.len() > 1;
-        let mut node = std::mem::replace(&mut self.nodes[id.0 as usize], Node::Empty);
+        let node = &mut self.nodes[id.0 as usize];
         let shard = &mut self.shards[s];
         let mut out = std::mem::take(&mut shard.scratch);
         {
@@ -408,9 +407,8 @@ impl Simulator {
                 completions: &mut shard.completions,
                 probe,
             };
-            f(&mut node, &mut ctx);
+            f(node, &mut ctx);
         }
-        self.nodes[id.0 as usize] = node;
         for (at, ev) in out.drain(..) {
             self.serial_insert(s, at, ev);
         }
@@ -451,7 +449,9 @@ impl Simulator {
     fn fault_intercept_single(&mut self, node: NodeId, port: PortId, pkt: PktRef) -> bool {
         // A handle re-scheduled by an earlier Delay/Reorder/Duplicate
         // verdict arrives exactly once more, without a second ruling.
-        if self.shards[0].fault_immune.remove(&pkt) {
+        // The set is almost always empty: skip hashing the handle then.
+        let immune = &mut self.shards[0].fault_immune;
+        if !immune.is_empty() && immune.remove(&pkt) {
             return false;
         }
         let now = self.clock;
@@ -585,7 +585,6 @@ impl Simulator {
                 unreachable!("switches have no endpoints")
             }
             (_, Event::Control { .. }) => unreachable!("Control handled before dispatch"),
-            (Node::Empty, _) => unreachable!("event for node under processing"),
         });
         Some(at)
     }
@@ -722,18 +721,6 @@ impl Simulator {
             }
         }
         best.map(|(_, i)| self.shards[i].completions.pop_front().expect("peeked"))
-    }
-
-    /// Drains completions surfaced since the last call.
-    ///
-    /// Allocates a fresh `Vec` per call; event-per-step loops should prefer
-    /// [`Simulator::for_each_completion`].
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let mut v = Vec::new();
-        while let Some(c) = self.pop_next_completion() {
-            v.push(c);
-        }
-        v
     }
 
     /// Invokes `f` on each completion surfaced since the last drain,
@@ -878,14 +865,12 @@ impl Simulator {
         match &mut self.nodes[link.to.0 as usize] {
             Node::Host(h) => h.link_up = up,
             Node::Switch(s) => s.set_port_up(link.to_port, up),
-            Node::Empty => unreachable!("cable peer under processing"),
         }
         if up {
             self.kick_switch_port(sw, port);
             match &self.nodes[link.to.0 as usize] {
                 Node::Host(_) => self.kick(link.to),
                 Node::Switch(_) => self.kick_switch_port(link.to, link.to_port),
-                Node::Empty => unreachable!(),
             }
         }
     }
@@ -929,7 +914,6 @@ impl Simulator {
                 back.gbps = gbps;
                 back.delay = delay;
             }
-            Node::Empty => unreachable!("cable peer under processing"),
         }
     }
 

@@ -87,8 +87,7 @@ impl<T> PartialOrd for Entry<T> {
     }
 }
 // Reversed: `BinaryHeap<Entry>` becomes a min-queue, and `BinaryHeap::from`
-// can heapify a slot's `Vec` storage in place (same trick as the calendar
-// queue).
+// can heapify a slot's `Vec` storage in place.
 impl<T> Ord for Entry<T> {
     fn cmp(&self, o: &Self) -> std::cmp::Ordering {
         o.key().cmp(&self.key())

@@ -29,18 +29,69 @@ impl XorShift {
     }
 }
 
+/// The queue under test and the model, driven in lock-step: every insert
+/// goes to both, every pop must come out of both identically.
+struct Lockstep {
+    model: BinaryHeap<Reverse<Scheduled>>,
+    queue: EventQueue<u32>,
+    /// Time of the last pop; inserts never precede it (as in the simulator).
+    now: u64,
+    seq: u64,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep { model: BinaryHeap::new(), queue: EventQueue::new(), now: 0, seq: 0 }
+    }
+
+    fn insert(&mut self, delta: u64, item: u32) {
+        self.seq += 1;
+        let s = Scheduled { at: self.now + delta, seq: self.seq, item };
+        self.model.push(Reverse(s));
+        self.queue.insert(s.at, s.seq, s.item);
+        assert_eq!(self.model.len(), self.queue.len());
+    }
+
+    /// Pops both and returns the popped entry's payload; `None` once the
+    /// model is empty.
+    fn pop(&mut self, op: usize) -> Option<u32> {
+        let Some(Reverse(want)) = self.model.pop() else {
+            assert!(self.queue.pop().is_none(), "queue outlived the model");
+            return None;
+        };
+        let got = self.queue.pop().expect("queue drained before the model");
+        assert_eq!((want.at, want.seq, want.item), got, "divergence at op {op}");
+        assert!(want.at >= self.now, "model produced an event in the past");
+        self.now = want.at;
+        assert_eq!(self.model.len(), self.queue.len());
+        Some(want.item)
+    }
+
+    /// Peeks both: `next_at` may rotate the queue's wheel up to the next
+    /// entry, far past the last pop.
+    fn peek(&mut self) {
+        assert_eq!(self.model.peek().map(|Reverse(s)| s.at), self.queue.next_at());
+    }
+
+    fn drain(&mut self) {
+        while self.pop(usize::MAX).is_some() {}
+    }
+
+    /// The queue's current bucket width in ns.
+    fn width(&self) -> u64 {
+        1 << self.queue.width_log2()
+    }
+}
+
 #[test]
 fn matches_old_heap_on_randomized_schedule() {
     let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
-    let mut model: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
-    let mut queue: EventQueue<u32> = EventQueue::new();
-    let mut now = 0u64;
-    let mut seq = 0u64;
+    let mut ls = Lockstep::new();
     for op in 0..20_000 {
         // Bias toward inserts early, pops late, with occasional bursts.
         let roll = rng.next() % 100;
         let inserting = if op < 12_000 { roll < 65 } else { roll < 35 };
-        if inserting || model.is_empty() {
+        if inserting || ls.model.is_empty() {
             // Mix near-future (wheel), same-instant (ties resolved by seq)
             // and far-future (overflow heap) times.
             let delta = match rng.next() % 10 {
@@ -49,24 +100,120 @@ fn matches_old_heap_on_randomized_schedule() {
                 7 | 8 => rng.next() % 50_000_000,
                 _ => 200_000_000 + rng.next() % 1_000_000_000,
             };
-            seq += 1;
-            let s = Scheduled { at: now + delta, seq, item: (rng.next() & 0xffff_ffff) as u32 };
-            model.push(Reverse(s));
-            queue.insert(s.at, s.seq, s.item);
+            ls.insert(delta, (rng.next() & 0xffff_ffff) as u32);
         } else {
-            let Reverse(want) = model.pop().unwrap();
-            let got = queue.pop().expect("queue drained before the model");
-            assert_eq!((want.at, want.seq, want.item), got, "divergence at op {op}");
-            assert!(want.at >= now, "model produced an event in the past");
-            now = want.at;
+            ls.pop(op);
         }
-        assert_eq!(model.len(), queue.len());
     }
-    // Drain the remainder in lock-step.
-    while let Some(Reverse(want)) = model.pop() {
-        assert_eq!(Some((want.at, want.seq, want.item)), queue.pop());
+    ls.drain();
+}
+
+/// Packet-hop traffic: between pops, bursts of inserts land at
+/// `now + [0, width)` — inside the current bucket or the next one — so most
+/// inserts take the current bucket's sorted-insert path, at every position
+/// (same instant as the last pop, mid-window, window end).
+#[test]
+fn matches_old_heap_on_dense_current_window_schedule() {
+    let mut rng = XorShift(0x243f_6a88_85a3_08d3);
+    let mut ls = Lockstep::new();
+    for op in 0..30_000 {
+        for _ in 0..rng.next() % 7 {
+            let delta = match rng.next() % 8 {
+                0 => 0,
+                1 => ls.width() - 1,
+                _ => rng.next() % ls.width(),
+            };
+            ls.insert(delta, op as u32);
+        }
+        // A thin tail of far timers keeps the wheel and overflow populated.
+        if rng.next().is_multiple_of(50) {
+            ls.insert(1_000_000 + rng.next() % 10_000_000, op as u32);
+        }
+        for _ in 0..rng.next() % 6 {
+            ls.pop(op);
+        }
     }
-    assert!(queue.pop().is_none());
+    ls.drain();
+}
+
+/// Inserts that follow a peek: with nothing left near the clock, `next_at`
+/// moves the wheel to the next entry — within the horizon, or past it via
+/// overflow — and the caller then schedules from its own clock, before the
+/// window the peek moved to. The queue must take the wheel back without
+/// reordering anything.
+#[test]
+fn matches_old_heap_when_inserts_follow_a_far_peek() {
+    let mut rng = XorShift(0xa409_3822_299f_31d0);
+    let mut ls = Lockstep::new();
+    for round in 0..2_000u32 {
+        let far = if rng.next().is_multiple_of(2) {
+            20_000 + rng.next() % 500_000
+        } else {
+            2_000_000 + rng.next() % 20_000_000
+        };
+        ls.insert(far, round);
+        while ls.model.peek().is_some_and(|Reverse(s)| s.at < ls.now + 10_000) {
+            ls.pop(round as usize);
+        }
+        ls.peek();
+        for _ in 0..1 + rng.next() % 40 {
+            ls.insert(rng.next() % 8_000, round);
+        }
+        for _ in 0..rng.next() % 20 {
+            ls.pop(round as usize);
+        }
+    }
+    ls.drain();
+}
+
+/// Width adaptation with a populated current bucket: a dense phase (~100
+/// entries per µs, plus current-window inserts between pops) halves the
+/// width while the rotated bucket holds far more entries than the new
+/// window covers, then a sparse phase (about one entry per 1.5 bucket
+/// widths, with current-window inserts still interleaved) doubles it back.
+/// Each change re-buckets the current bucket's entries mid-run.
+#[test]
+fn matches_old_heap_across_width_shrink_and_grow() {
+    let mut rng = XorShift(0x1319_8a2e_0370_7344);
+    let mut ls = Lockstep::new();
+    let start = ls.queue.width_log2();
+    for i in 0..30_000u64 {
+        ls.insert(i * 10 + rng.next() % 10, i as u32);
+    }
+    let mut op = 0;
+    while ls.queue.len() > 2_000 {
+        ls.pop(op);
+        if rng.next().is_multiple_of(4) {
+            ls.insert(rng.next() % ls.width(), op as u32);
+        }
+        op += 1;
+    }
+    let shrunk = ls.queue.width_log2();
+    assert!(shrunk < start, "dense phase must shrink the width (still {shrunk})");
+    ls.drain();
+    // Sparse phase: a standing population spaced ~1.5 widths apart, each
+    // member rescheduling itself one population-span ahead when popped.
+    // Current-window extras (payload `EXTRA`) are not rescheduled.
+    const EXTRA: u32 = u32::MAX;
+    let span = 64 * 3 * ls.width() / 2;
+    for k in 0..64 {
+        ls.insert(k * span / 64, k as u32);
+    }
+    for _ in 0..60_000 {
+        if ls.pop(op) != Some(EXTRA) {
+            ls.insert(span + rng.next() % 16, op as u32);
+        }
+        if rng.next().is_multiple_of(8) {
+            ls.insert(rng.next() % ls.width(), EXTRA);
+        }
+        op += 1;
+    }
+    assert!(
+        ls.queue.width_log2() > shrunk,
+        "sparse phase must grow the width back (still {})",
+        ls.queue.width_log2()
+    );
+    ls.drain();
 }
 
 /// Not a correctness test: times both structures on an identical,
