@@ -10,7 +10,7 @@
 //! (challenge #1).
 
 use crate::config::{DcpConfig, RetransMode};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -18,20 +18,19 @@ use dcp_netsim::RetxCause;
 use dcp_rdma::headers::DcpTag;
 use dcp_rdma::qp::{RetransEntry, WorkReqOp};
 use dcp_transport::cc::CongestionControl;
-use dcp_transport::common::{data_packet, desc_at, tokens, FlowCfg, TxBook};
+use dcp_transport::common::{tokens, FlowCfg};
+use dcp_transport::txcore::SenderCore;
 use std::collections::{HashMap, VecDeque};
 
 /// Timer token for a PCIe fetch completion.
 const FETCH: u64 = 5 << tokens::KIND_SHIFT;
 
-/// The DCP-RNIC requester.
+/// The DCP-RNIC requester. Its core's RTO clock is the coarse-grained
+/// fallback timer, run with `coarse_timeout`; only `snd_nxt` of the core's
+/// PSN cursors is used (acknowledgment is per message, by eMSN).
 pub struct DcpSender {
-    cfg: FlowCfg,
+    core: SenderCore,
     dcfg: DcpConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    /// Next new PSN.
-    snd_nxt: u32,
     /// Host-memory retransmission queue (§4.3).
     retransq: VecDeque<RetransEntry>,
     /// Entries fetched onto the NIC, ready to retransmit.
@@ -41,52 +40,28 @@ pub struct DcpSender {
     retry_no: HashMap<u32, u8>,
     /// Timeout-triggered retransmissions (whole unaMSN message).
     timeout_q: VecDeque<(u32, u32)>,
-    coarse_gen: u64,
-    coarse_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
     /// PCIe round trips spent on the retransmission path (ablation metric).
     pub pcie_fetches: u64,
-    /// Reused buffer for retired messages (no per-ACK allocation).
-    retire_scratch: Vec<dcp_transport::common::MsgState>,
 }
 
 impl DcpSender {
     pub fn new(cfg: FlowCfg, dcfg: DcpConfig, cc: Box<dyn CongestionControl>) -> Self {
         assert_eq!(cfg.data_tag, DcpTag::Data, "DCP traffic must carry the Data tag");
         DcpSender {
-            cfg,
+            core: SenderCore::new(cfg, cc, dcfg.coarse_timeout),
             dcfg,
-            book: TxBook::new(),
-            cc,
-            snd_nxt: 0,
             retransq: VecDeque::new(),
             fetched: VecDeque::new(),
             fetch_inflight: false,
             retry_no: HashMap::new(),
             timeout_q: VecDeque::new(),
-            coarse_gen: 0,
-            coarse_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
             pcie_fetches: 0,
-            retire_scratch: Vec::new(),
         }
     }
 
     /// Length of the host-memory RetransQ (mirrored in the QPC, §4.3).
     pub fn retransq_len(&self) -> usize {
         self.retransq.len()
-    }
-
-    fn arm_coarse(&mut self, ctx: &mut EndpointCtx) {
-        self.coarse_gen += 1;
-        self.coarse_armed = true;
-        ctx.timers.push((ctx.now + self.dcfg.coarse_timeout, tokens::RTO | self.coarse_gen));
     }
 
     /// Kicks off a PCIe fetch of retransmission entries if one is needed.
@@ -105,21 +80,26 @@ impl DcpSender {
         ctx.timers.push((ctx.now + latency, FETCH));
     }
 
-    fn build(&mut self, msn: u32, psn: u32, is_retx: bool) -> Option<Packet> {
-        let m = *self.book.by_msn(msn)?;
+    /// Message `msn`'s current retry round (`sRetryNo`).
+    fn round(&self, msn: u32) -> u8 {
+        self.retry_no.get(&msn).copied().unwrap_or(0)
+    }
+
+    /// Retransmits `psn` of message `msn` at the message's current retry
+    /// round, or `None` if the message retired or `psn` is not one of its
+    /// PSNs.
+    fn build_retx(&mut self, msn: u32, psn: u32) -> Option<Packet> {
+        let m = *self.core.book.by_msn(msn)?;
         if psn < m.first_psn || psn >= m.first_psn + m.pkt_count {
             return None;
         }
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let sretry = self.retry_no.get(&msn).copied().unwrap_or(0);
-        self.uid += 1;
-        Some(data_packet(&self.cfg, &m, desc, psn, sretry, is_retx, self.uid))
+        Some(self.core.build_msg(&m, psn, self.round(msn), true))
     }
 }
 
 impl Endpoint for DcpSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.core.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
@@ -128,7 +108,7 @@ impl Endpoint for DcpSender {
             DcpTag::HeaderOnly => {
                 // A loss notification bounced back by the receiver: extract
                 // (MSN, PSN) and DMA it into the RetransQ (§4.3 Rx path).
-                self.stats.ho_received += 1;
+                self.core.stats.ho_received += 1;
                 let msn = pkt.msn().expect("HO packets carry the MSN");
                 let psn = pkt.psn();
                 // Stale-round filter: the HO's sRetryNo (retained through
@@ -138,58 +118,46 @@ impl Endpoint for DcpSender {
                 // timeout round already resent everything, and acting on it
                 // would deliver a duplicate that corrupts the receiver's
                 // packet count (§4.5).
-                let current = self.retry_no.get(&msn).copied().unwrap_or(0);
-                if pkt.header.ip.sretry_no() == current && self.book.by_msn(msn).is_some() {
+                if pkt.header.ip.sretry_no() == self.round(msn)
+                    && self.core.book.by_msn(msn).is_some()
+                {
                     self.retransq.push_back(RetransEntry { msn, psn });
                     self.maybe_fetch(ctx);
                 }
             }
             DcpTag::Ack => {
                 if pkt.ext == PktExt::Cnp {
-                    self.stats.cnps += 1;
-                    self.cc.on_congestion(ctx.now);
+                    self.core.on_cnp(ctx);
                     return;
                 }
                 let Some(aeth) = pkt.header.aeth else { return };
-                let emsn = aeth.emsn;
-                let mut retired = std::mem::take(&mut self.retire_scratch);
-                retired.clear();
-                self.book.retire_below_into(emsn, &mut retired);
-                if !retired.is_empty() {
-                    for m in &retired {
-                        self.retry_no.remove(&m.wqe.msn);
-                        self.cc.on_ack(ctx.now, m.wqe.len);
-                        ctx.completions.push(Completion {
-                            host: self.cfg.local,
-                            flow: self.cfg.flow,
-                            wr_id: m.wqe.wr_id,
-                            kind: CompletionKind::SendComplete,
-                            bytes: m.wqe.len,
-                            imm: 0,
-                            at: ctx.now,
-                        });
-                    }
-                    // The coarse fallback resends a message's *unsent* tail
-                    // PSNs as retransmissions; if that retry round completes
-                    // the message, `snd_nxt` can still point inside the
-                    // retired PSN range. Skip the hole — the book only pops
-                    // from the front, so the first live PSN is the new front
-                    // message's origin (or `next_psn` on an empty book), and
-                    // everything below it is delivered.
-                    let first_live = self
-                        .book
-                        .una_msn()
-                        .and_then(|msn| self.book.by_msn(msn))
-                        .map_or(self.book.next_psn(), |m| m.first_psn);
-                    self.snd_nxt = self.snd_nxt.max(first_live);
-                    // Progress: reset the coarse fallback timer (§4.5).
-                    if self.book.is_empty() {
-                        self.coarse_armed = false;
-                    } else {
-                        self.arm_coarse(ctx);
-                    }
+                let c = &mut self.core;
+                if !c.complete_msn_below(aeth.emsn, ctx) {
+                    return;
                 }
-                self.retire_scratch = retired;
+                for m in &c.retired {
+                    self.retry_no.remove(&m.wqe.msn);
+                    c.cc.on_ack(ctx.now, m.wqe.len);
+                }
+                // The coarse fallback resends a message's *unsent* tail
+                // PSNs as retransmissions; if that retry round completes
+                // the message, `snd_nxt` can still point inside the
+                // retired PSN range. Skip the hole — the book only pops
+                // from the front, so the first live PSN is the new front
+                // message's origin (or `next_psn` on an empty book), and
+                // everything below it is delivered.
+                let first_live = c
+                    .book
+                    .una_msn()
+                    .and_then(|msn| c.book.by_msn(msn))
+                    .map_or(c.book.next_psn(), |m| m.first_psn);
+                c.snd_nxt = c.snd_nxt.max(first_live);
+                // Progress: reset the coarse fallback timer (§4.5).
+                if c.book.is_empty() {
+                    c.stop_rto();
+                } else {
+                    c.arm_rto(ctx);
+                }
             }
             _ => {}
         }
@@ -198,20 +166,20 @@ impl Endpoint for DcpSender {
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
         match tokens::kind(token) {
             tokens::RTO => {
-                if !self.coarse_armed || tokens::generation(token) != self.coarse_gen {
+                if !self.core.rto_fired(token) {
                     return;
                 }
-                let Some(msn) = self.book.una_msn() else {
-                    self.coarse_armed = false;
+                let Some(msn) = self.core.book.una_msn() else {
+                    self.core.stop_rto();
                     return;
                 };
                 // Coarse fallback: bump the message's retry round and resend
                 // all of it (§4.5). HO-triggered entries from older rounds
                 // become harmless: the receiver ignores old rounds.
-                self.stats.timeouts += 1;
+                self.core.stats.timeouts += 1;
                 let r = self.retry_no.entry(msn).or_insert(0);
                 *r = r.saturating_add(1);
-                let m = *self.book.by_msn(msn).expect("unaMSN present");
+                let m = *self.core.book.by_msn(msn).expect("unaMSN present");
                 // The full-message resend supersedes any queued HO entries
                 // for this message; acting on both would duplicate packets
                 // within the new round.
@@ -221,19 +189,9 @@ impl Endpoint for DcpSender {
                 for psn in m.first_psn..m.first_psn + m.pkt_count {
                     self.timeout_q.push_back((msn, psn));
                 }
-                self.arm_coarse(ctx);
+                self.core.arm_rto(ctx);
             }
-            tokens::PACE => self.pace_armed = false,
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ if tokens::kind(token) == FETCH => {
+            FETCH => {
                 // PCIe fetch completed: entries are now on the NIC.
                 self.fetch_inflight = false;
                 self.pcie_fetches += 1;
@@ -243,7 +201,7 @@ impl Endpoint for DcpSender {
                 };
                 self.fetched.extend(self.retransq.drain(..n));
             }
-            _ => {}
+            _ => self.core.on_timer(token, ctx),
         }
     }
 
@@ -251,92 +209,57 @@ impl Endpoint for DcpSender {
         // Pacing gate from the CC module; applies to retransmissions too,
         // which is exactly how DCP makes the retransmission rate
         // controllable (§4.3 challenge #2).
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        let pending = self.has_pending();
+        if self.core.paced(ctx, pending) {
             return None;
         }
         // 1. Timeout-round retransmissions.
         while let Some((msn, psn)) = self.timeout_q.pop_front() {
-            if let Some(mut pkt) = self.build(msn, psn, true) {
+            if let Some(mut pkt) = self.build_retx(msn, psn) {
                 pkt.retx_cause = RetxCause::Timeout;
-                self.stats.retx_pkts += 1;
-                self.cc.on_send(ctx.now, pkt.wire_bytes());
-                return Some(ctx.pool.insert(pkt));
+                return Some(self.core.send(pkt, ctx));
             }
         }
         // 2. Fetched HO-named retransmissions.
         while let Some(e) = self.fetched.pop_front() {
             self.maybe_fetch(ctx);
-            if let Some(mut pkt) = self.build(e.msn, e.psn, true) {
+            if let Some(mut pkt) = self.build_retx(e.msn, e.psn) {
                 pkt.retx_cause = RetxCause::Ho;
-                self.stats.retx_pkts += 1;
-                self.cc.on_send(ctx.now, pkt.wire_bytes());
-                return Some(ctx.pool.insert(pkt));
+                return Some(self.core.send(pkt, ctx));
             }
         }
         self.maybe_fetch(ctx);
         // 3. New data.
-        if self.snd_nxt < self.book.next_psn() {
-            let (m, _) = self.book.locate(self.snd_nxt).expect("unsent psn locates");
-            let m = *m;
-            let psn = self.snd_nxt;
-            let desc = desc_at(&m, self.cfg.mtu, psn);
-            let sretry = self.retry_no.get(&m.wqe.msn).copied().unwrap_or(0);
-            self.uid += 1;
-            let pkt = data_packet(&self.cfg, &m, desc, psn, sretry, false, self.uid);
-            self.snd_nxt += 1;
-            self.stats.data_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.coarse_armed {
-                self.arm_coarse(ctx);
-            }
-            if !self.cc_tick_armed {
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    self.cc_tick_armed = true;
-                    ctx.timers.push((next, tokens::CC_TICK));
-                }
-            }
-            return Some(ctx.pool.insert(pkt));
+        if self.core.has_unsent() {
+            let psn = self.core.snd_nxt;
+            let m = *self.core.book.locate(psn).expect("unsent psn locates").0;
+            let pkt = self.core.build_msg(&m, psn, self.round(m.wqe.msn), false);
+            self.core.snd_nxt += 1;
+            self.core.ensure_rto(ctx);
+            return Some(self.core.send(pkt, ctx));
         }
         None
     }
 
     fn has_pending(&self) -> bool {
-        !self.timeout_q.is_empty()
-            || !self.fetched.is_empty()
-            || self.snd_nxt < self.book.next_psn()
+        !self.timeout_q.is_empty() || !self.fetched.is_empty() || self.core.has_unsent()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.core.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.core.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_nxt = 0;
+        self.core.recycle(flow, local, remote);
         self.retransq.clear();
         self.fetched.clear();
         self.fetch_inflight = false;
         self.retry_no.clear();
         self.timeout_q.clear();
-        // Keep the generation monotone so any RTO token armed by the old
-        // connection stays stale forever.
-        self.coarse_gen += 1;
-        self.coarse_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         self.pcie_fetches = 0;
         true
     }
@@ -345,13 +268,13 @@ impl Endpoint for DcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use dcp_netsim::endpoint::{deliver, pull_owned, Completion};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_netsim::time::Nanos;
     use dcp_rdma::headers::{Aeth, RdmaOpcode};
     use dcp_transport::cc::NoCc;
-    use dcp_transport::common::ack_packet;
+    use dcp_transport::common::{ack_packet, data_packet, desc_at, TxBook};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

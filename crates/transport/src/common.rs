@@ -93,8 +93,6 @@ pub struct TxBook {
     next_msn: u32,
     next_ssn: u32,
     next_psn: u32,
-    /// MSN below which everything is acknowledged and retired.
-    emsn: u32,
     /// Total payload bytes posted.
     pub posted_bytes: u64,
 }
@@ -142,16 +140,9 @@ impl TxBook {
         self.msgs.get(msn.checked_sub(front)? as usize)
     }
 
-    /// Retires messages with `msn < emsn`; returns them for completion
-    /// generation.
-    pub fn retire_below(&mut self, emsn: u32) -> Vec<MsgState> {
-        let mut out = Vec::new();
-        self.retire_below_into(emsn, &mut out);
-        out
-    }
-
-    /// Allocation-free [`TxBook::retire_below`]: appends retired messages to
-    /// a caller-owned scratch vector (hot paths reuse one across calls).
+    /// Retires messages with `msn < emsn`, appending them to `out` for
+    /// completion generation (a caller-owned buffer, so hot paths reuse one
+    /// across calls and never allocate).
     pub fn retire_below_into(&mut self, emsn: u32, out: &mut Vec<MsgState>) {
         while let Some(front) = self.msgs.front() {
             if front.wqe.msn < emsn {
@@ -161,25 +152,16 @@ impl TxBook {
                 break;
             }
         }
-        self.emsn = self.emsn.max(emsn);
     }
 
     /// Retires every message whose PSN range ends at or below `cum_psn`
-    /// (cumulative-ACK transports). Returns completed messages.
-    pub fn retire_psn_below(&mut self, cum_psn: u32) -> Vec<MsgState> {
-        let mut out = Vec::new();
-        self.retire_psn_below_into(cum_psn, &mut out);
-        out
-    }
-
-    /// Allocation-free [`TxBook::retire_psn_below`]; see
+    /// (cumulative-ACK transports), appending them to `out`; see
     /// [`TxBook::retire_below_into`].
     pub fn retire_psn_below_into(&mut self, cum_psn: u32, out: &mut Vec<MsgState>) {
         while let Some(front) = self.msgs.front() {
             if front.first_psn + front.pkt_count <= cum_psn {
                 out.push(*front);
                 self.msgs.pop_front();
-                self.emsn = self.emsn.max(out.last().unwrap().wqe.msn + 1);
             } else {
                 break;
             }
@@ -193,7 +175,6 @@ impl TxBook {
         self.next_msn = 0;
         self.next_ssn = 0;
         self.next_psn = 0;
-        self.emsn = 0;
         self.posted_bytes = 0;
     }
 
@@ -458,7 +439,8 @@ mod tests {
     #[test]
     fn retire_below_msn_and_locate_after() {
         let mut b = book_with(&[1024, 3000, 500]);
-        let done = b.retire_below(2);
+        let mut done = Vec::new();
+        b.retire_below_into(2, &mut done);
         assert_eq!(done.len(), 2);
         assert!(b.locate(0).is_none(), "retired PSNs no longer locate");
         assert_eq!(b.locate(4).unwrap().0.wqe.msn, 2);
@@ -469,10 +451,12 @@ mod tests {
     fn retire_by_cumulative_psn() {
         let mut b = book_with(&[1024, 3000, 500]);
         // cum 3 covers msg 0 (psn 0) but not msg 1 (psns 1..4).
-        let done = b.retire_psn_below(3);
+        let mut done = Vec::new();
+        b.retire_psn_below_into(3, &mut done);
         assert_eq!(done.len(), 1, "msg 1 not fully covered yet");
-        let done = b.retire_psn_below(4);
-        assert_eq!(done.len(), 1);
+        b.retire_psn_below_into(4, &mut done);
+        assert_eq!(done.len(), 2, "appends to the caller's buffer");
+        assert_eq!(done[1].wqe.msn, 1);
         assert_eq!(b.una_msn(), Some(2));
     }
 

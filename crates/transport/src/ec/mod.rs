@@ -34,11 +34,10 @@
 pub mod codec;
 
 use crate::cc::CongestionControl;
-use crate::common::{
-    ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, MsgState, Placement, TxBook,
-};
+use crate::common::{ack_packet, data_packet, tokens, CnpGen, FlowCfg, MsgState, Placement};
 use crate::rxcore::{Accept, RxCore};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::txcore::SenderCore;
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -116,26 +115,14 @@ fn gen_mask(k: u8) -> u32 {
 /// EC sender: stripes messages into generations, trails each with repair
 /// shards, answers bitmap NACKs with selective retransmits.
 pub struct EcSender {
-    cfg: FlowCfg,
+    core: SenderCore,
     ecfg: EcConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
     /// Repair shards awaiting first transmission: (gen_psn, shard ≥ gen_k).
     repair_q: VecDeque<(u32, u8)>,
     retx_q: VecDeque<(u32, RetxCause)>,
     /// PSNs currently sitting in `retx_q` — dedups repeated NACK rounds
     /// without suppressing a re-request after the retransmit went out.
     retx_pending: BTreeSet<u32>,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-    retire_scratch: Vec<MsgState>,
 }
 
 impl EcSender {
@@ -143,34 +130,12 @@ impl EcSender {
         assert!((1..=32).contains(&ecfg.k), "EC k must be 1..=32 (u32 NACK bitmap)");
         assert!(ecfg.m >= 1, "EC needs at least one repair shard");
         EcSender {
-            cfg,
+            core: SenderCore::new(cfg, cc, ecfg.rto),
             ecfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
             repair_q: VecDeque::new(),
             retx_q: VecDeque::new(),
             retx_pending: BTreeSet::new(),
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-            retire_scratch: Vec::new(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.ecfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    fn inflight_bytes(&self) -> u64 {
-        (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64
     }
 
     /// Generation geometry of data PSN `psn` within its message: the
@@ -184,42 +149,18 @@ impl EcSender {
         (gen_psn, gen_k, self.ecfg.m.min(gen_k))
     }
 
-    fn advance_cum(&mut self, epsn: u32, ctx: &mut EndpointCtx) {
-        if epsn <= self.snd_una {
-            return;
-        }
-        self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-        self.snd_una = epsn;
-        let mut done = std::mem::take(&mut self.retire_scratch);
-        done.clear();
-        self.book.retire_psn_below_into(self.snd_una, &mut done);
-        for m in &done {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        self.retire_scratch = done;
-        if self.snd_una < self.max_sent {
-            self.arm_rto(ctx);
-        } else {
-            self.rto_armed = false;
-        }
-    }
-
+    /// Builds data shard `psn`; a first transmission that ends its
+    /// generation queues the generation's repair trailers.
     fn build_data(&mut self, psn: u32, is_retx: bool) -> Packet {
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
+        let m = *self.core.book.locate(psn).expect("psn locates").0;
         let (gen_psn, gen_k, m_eff) = self.generation_of(&m, psn);
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
+        let mut pkt = self.core.build_msg(&m, psn, 0, is_retx);
         pkt.ext = PktExt::EcShard { gen_psn, shard: (psn - gen_psn) as u8, k: gen_k, m: m_eff };
+        if !is_retx && psn == gen_psn + u32::from(gen_k) - 1 {
+            for r in 0..m_eff {
+                self.repair_q.push_back((gen_psn, gen_k + r));
+            }
+        }
         pkt
     }
 
@@ -228,7 +169,7 @@ impl EcSender {
     /// Write (only Write messages carry the base-address geometry the
     /// receiver needs to synthesize missing shards).
     fn build_repair(&mut self, gen_psn: u32, shard: u8) -> Option<Packet> {
-        let (m, off) = self.book.locate(gen_psn)?;
+        let (m, off) = self.core.book.locate(gen_psn)?;
         let m = *m;
         let WorkReqOp::Write { remote_addr, rkey } = m.wqe.op else { return None };
         let (_, gen_k, m_eff) = self.generation_of(&m, gen_psn);
@@ -237,32 +178,58 @@ impl EcSender {
         // the same loss odds as the shards it protects), carrying the
         // generation geometry: packet index + byte offset of the generation
         // start, the message's base address and total length.
+        let mtu = self.core.cfg.mtu;
         let desc = PacketDescriptor {
             opcode: RdmaOpcode::WriteMiddle,
             index: off,
-            offset: u64::from(off) * self.cfg.mtu as u64,
-            payload_len: self.cfg.mtu as u32,
+            offset: u64::from(off) * mtu as u64,
+            payload_len: mtu as u32,
             remote_addr: Some(remote_addr),
             rkey: Some(rkey),
             imm: Some(m.wqe.len as u32),
             ssn: None,
         };
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, gen_psn, 0, false, self.uid);
+        self.core.uid += 1;
+        let mut pkt = data_packet(&self.core.cfg, &m, desc, gen_psn, 0, false, self.core.uid);
         pkt.ext = PktExt::EcShard { gen_psn, shard, k: gen_k, m: m_eff };
         Some(pkt)
+    }
+    /// The next packet to send: NACKed/timed-out retransmissions first,
+    /// then repair shards for generations whose data already shipped (first
+    /// transmissions, never retransmitted), then new data within the window.
+    fn next_packet(&mut self) -> Option<Packet> {
+        while let Some((psn, cause)) = self.retx_q.pop_front() {
+            self.retx_pending.remove(&psn);
+            if psn < self.core.snd_una {
+                continue; // already made it
+            }
+            let mut pkt = self.build_data(psn, true);
+            pkt.retx_cause = cause;
+            return Some(pkt);
+        }
+        while let Some((gen_psn, shard)) = self.repair_q.pop_front() {
+            if let Some(pkt) = self.build_repair(gen_psn, shard) {
+                return Some(pkt);
+            }
+        }
+        if self.core.has_unsent() && self.core.window_open() {
+            let (psn, _) = self.core.take_next();
+            return Some(self.build_data(psn, false));
+        }
+        None
     }
 }
 
 impl Endpoint for EcSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.core.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
-        let pkt = ctx.pool.take(pkt);
-        match pkt.ext {
-            PktExt::GbnAck { epsn } => self.advance_cum(epsn, ctx),
+        match ctx.pool.take(pkt).ext {
+            PktExt::GbnAck { epsn } => {
+                self.core.cum_ack(epsn, ctx);
+            }
             PktExt::EcNack { gen_psn, missing } => {
                 let mut bits = missing;
                 while bits != 0 {
@@ -272,148 +239,67 @@ impl Endpoint for EcSender {
                     // Only retransmit what was actually sent and is still
                     // unacked; a NACK may name shards pacing hasn't emitted
                     // yet or that a cumulative ACK already covered.
-                    if psn >= self.snd_una && psn < self.snd_nxt && self.retx_pending.insert(psn) {
+                    if psn >= self.core.snd_una
+                        && psn < self.core.snd_nxt
+                        && self.retx_pending.insert(psn)
+                    {
                         self.retx_q.push_back((psn, RetxCause::Nack));
                     }
                 }
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => self.core.on_cnp(ctx),
             _ => {}
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+        let c = &mut self.core;
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
+                if c.rto_fired(token) && c.unacked() {
+                    c.stats.timeouts += 1;
                     // Last resort — a NACK can't name a generation the
                     // receiver never heard of. Requeue everything unacked.
                     self.retx_q.clear();
                     self.retx_pending.clear();
-                    for psn in self.snd_una..self.snd_nxt {
+                    for psn in c.snd_una..c.snd_nxt {
                         self.retx_q.push_back((psn, RetxCause::Timeout));
                         self.retx_pending.insert(psn);
                     }
-                    self.arm_rto(ctx);
+                    c.arm_rto(ctx);
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ => {}
+            _ => c.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        let pending = self.has_pending();
+        if self.core.paced(ctx, pending) {
             return None;
         }
-        // NACKed/timed-out retransmissions first.
-        while let Some((psn, cause)) = self.retx_q.pop_front() {
-            self.retx_pending.remove(&psn);
-            if psn < self.snd_una {
-                continue; // already made it
-            }
-            let mut pkt = self.build_data(psn, true);
-            pkt.retx_cause = cause;
-            self.stats.retx_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            return Some(ctx.pool.insert(pkt));
-        }
-        // Repair shards for generations whose data already shipped. First
-        // transmissions (counted in `data_pkts`), never retransmitted.
-        while let Some((gen_psn, shard)) = self.repair_q.pop_front() {
-            let Some(pkt) = self.build_repair(gen_psn, shard) else { continue };
-            self.stats.data_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            return Some(ctx.pool.insert(pkt));
-        }
-        // New data within the window.
-        if self.snd_nxt < self.book.next_psn()
-            && self.cc.awin(self.inflight_bytes()) >= self.cfg.mtu as u64
-        {
-            let psn = self.snd_nxt;
-            let pkt = self.build_data(psn, false);
-            self.snd_nxt += 1;
-            self.max_sent = self.max_sent.max(self.snd_nxt);
-            self.stats.data_pkts += 1;
-            // The generation's last data shard queues its repair trailers.
-            let (m, _) = self.book.locate(psn).expect("psn locates");
-            let m = *m;
-            let (gen_psn, gen_k, m_eff) = self.generation_of(&m, psn);
-            if psn == gen_psn + u32::from(gen_k) - 1 {
-                for r in 0..m_eff {
-                    self.repair_q.push_back((gen_psn, gen_k + r));
-                }
-            }
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            if !self.cc_tick_armed {
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    self.cc_tick_armed = true;
-                    ctx.timers.push((next, tokens::CC_TICK));
-                }
-            }
-            return Some(ctx.pool.insert(pkt));
-        }
-        None
+        let pkt = self.next_packet()?;
+        self.core.ensure_rto(ctx);
+        Some(self.core.send(pkt, ctx))
     }
 
     fn has_pending(&self) -> bool {
-        !self.retx_q.is_empty() || !self.repair_q.is_empty() || self.snd_nxt < self.book.next_psn()
+        !self.retx_q.is_empty() || !self.repair_q.is_empty() || self.core.has_unsent()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.core.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.core.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_una = 0;
-        self.snd_nxt = 0;
-        self.max_sent = 0;
+        self.core.recycle(flow, local, remote);
         self.repair_q.clear();
         self.retx_q.clear();
         self.retx_pending.clear();
-        self.rto_gen += 1;
-        self.rto_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         true
     }
 }
@@ -682,7 +568,7 @@ pub fn ec_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use dcp_netsim::endpoint::{deliver, pull_owned, Completion, CompletionKind};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
     use rand::rngs::StdRng;

@@ -8,9 +8,10 @@
 //! whose loss sensitivity motivates the whole paper (Fig. 10).
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::common::{ack_packet, tokens, CnpGen, FlowCfg, Placement};
 use crate::rxcore::RxCore;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::txcore::SenderCore;
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId};
 use dcp_netsim::packet::{Packet, PktExt};
 use dcp_netsim::pool::PktRef;
@@ -37,224 +38,88 @@ impl Default for GbnConfig {
 
 /// Go-Back-N sender.
 pub struct GbnSender {
-    cfg: FlowCfg,
-    gcfg: GbnConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    /// Oldest unacknowledged PSN.
-    snd_una: u32,
-    /// Next PSN to (re)transmit.
-    snd_nxt: u32,
-    /// Highest PSN ever sent + 1 (for retransmission detection).
-    max_sent: u32,
+    core: SenderCore,
     /// Signal behind the most recent rewind; stamped on every packet the
     /// rewind causes to be resent (GBN resends whole windows per episode).
     retx_cause: RetxCause,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-    /// Reused buffer for retired messages (no per-ACK allocation).
-    retire_scratch: Vec<crate::common::MsgState>,
 }
 
 impl GbnSender {
     pub fn new(cfg: FlowCfg, gcfg: GbnConfig, cc: Box<dyn CongestionControl>) -> Self {
-        GbnSender {
-            cfg,
-            gcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
-            retx_cause: RetxCause::Unknown,
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-            retire_scratch: Vec::new(),
-        }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.gcfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    fn inflight_bytes(&self) -> u64 {
-        (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64
-    }
-
-    fn retire(&mut self, epsn: u32, ctx: &mut EndpointCtx) {
-        let mut done = std::mem::take(&mut self.retire_scratch);
-        done.clear();
-        self.book.retire_psn_below_into(epsn, &mut done);
-        for m in &done {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        self.retire_scratch = done;
+        GbnSender { core: SenderCore::new(cfg, cc, gcfg.rto), retx_cause: RetxCause::Unknown }
     }
 }
 
 impl Endpoint for GbnSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.core.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
-        let pkt = ctx.pool.take(pkt);
-        match pkt.ext {
+        let c = &mut self.core;
+        match ctx.pool.take(pkt).ext {
             PktExt::GbnAck { epsn } => {
-                if epsn > self.snd_una {
-                    self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-                    self.snd_una = epsn;
-                    // After a NAK rewind, in-flight originals may still
-                    // advance the cumulative ACK past the rewound snd_nxt.
-                    self.snd_nxt = self.snd_nxt.max(epsn);
-                    self.retire(epsn, ctx);
-                    if self.snd_una < self.max_sent {
-                        self.arm_rto(ctx);
-                    } else {
-                        self.rto_armed = false;
-                    }
-                }
+                c.cum_ack(epsn, ctx);
             }
             PktExt::GbnNak { epsn } => {
                 // Go back: rewind to the receiver's expected PSN.
-                if epsn > self.snd_una {
-                    self.snd_una = epsn;
-                    self.retire(epsn, ctx);
+                if epsn > c.snd_una {
+                    c.snd_una = epsn;
+                    c.complete_psn_below(epsn, ctx);
                 }
-                self.snd_nxt = self.snd_una;
+                c.snd_nxt = c.snd_una;
                 self.retx_cause = RetxCause::Nack;
-                self.arm_rto(ctx);
+                c.arm_rto(ctx);
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => c.on_cnp(ctx),
             _ => {}
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+        let c = &mut self.core;
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
-                    self.snd_nxt = self.snd_una;
+                if c.rto_fired(token) && c.unacked() {
+                    c.stats.timeouts += 1;
+                    c.snd_nxt = c.snd_una;
                     self.retx_cause = RetxCause::Timeout;
-                    self.arm_rto(ctx);
+                    c.arm_rto(ctx);
                 }
             }
-            tokens::PACE => {
-                self.pace_armed = false;
-            }
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ => {}
+            _ => c.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
+        let c = &mut self.core;
+        if !c.has_unsent() || c.paced(ctx, true) || !c.window_open() {
             return None;
         }
-        // Pacing gate (rate-based CC).
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
-            return None;
-        }
-        // Window gate.
-        if self.cc.awin(self.inflight_bytes()) < self.cfg.mtu as u64 {
-            return None;
-        }
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("unacked psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
+        let (psn, is_retx) = c.take_next();
+        let mut pkt = c.build(psn, is_retx);
         if is_retx {
             pkt.retx_cause = self.retx_cause;
         }
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
-        self.cc.on_send(ctx.now, pkt.wire_bytes());
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        if !self.cc_tick_armed {
-            if let Some(next) = self.cc.on_tick(ctx.now) {
-                self.cc_tick_armed = true;
-                ctx.timers.push((next, tokens::CC_TICK));
-            }
-        }
-        Some(ctx.pool.insert(pkt))
+        c.ensure_rto(ctx);
+        Some(c.send(pkt, ctx))
     }
 
     fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
+        self.core.has_unsent()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.core.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.core.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_una = 0;
-        self.snd_nxt = 0;
-        self.max_sent = 0;
+        self.core.recycle(flow, local, remote);
         self.retx_cause = RetxCause::Unknown;
-        // rto_gen stays monotone: a previous life's RTO that somehow slips
-        // past the host's slot-generation filter still mismatches here.
-        self.rto_gen += 1;
-        self.rto_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         true
     }
 }
@@ -364,6 +229,8 @@ pub fn gbn_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
+    use crate::common::{data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::Completion;
     use dcp_netsim::endpoint::{deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;

@@ -14,9 +14,10 @@
 //! retransmissions, and tail/retransmission losses pile up RTOs.
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::common::{ack_packet, tokens, CnpGen, FlowCfg, Placement};
 use crate::rxcore::{Accept, RxCore};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::txcore::SenderCore;
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -41,13 +42,7 @@ impl Default for IrnConfig {
 /// IRN sender: selective repeat with a SACK bitmap and single-entry loss
 /// recovery mode.
 pub struct IrnSender {
-    cfg: FlowCfg,
-    icfg: IrnConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
+    core: SenderCore,
     /// SACKed PSNs above `snd_una` — the sender-side bitmap.
     sacked: BTreeSet<u32>,
     in_recovery: bool,
@@ -57,57 +52,25 @@ pub struct IrnSender {
     /// PSNs already retransmitted in this recovery episode ("the sender
     /// enters the loss recovery mode only once", §2.2).
     retx_done: BTreeSet<u32>,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    cc_tick_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-    /// Reused buffer for retired messages (no per-ACK allocation).
-    retire_scratch: Vec<crate::common::MsgState>,
 }
 
 impl IrnSender {
     pub fn new(cfg: FlowCfg, icfg: IrnConfig, cc: Box<dyn CongestionControl>) -> Self {
         IrnSender {
-            cfg,
-            icfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
+            core: SenderCore::new(cfg, cc, icfg.rto),
             sacked: BTreeSet::new(),
             in_recovery: false,
             recovery_point: 0,
             retx_q: VecDeque::new(),
             retx_done: BTreeSet::new(),
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            cc_tick_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-            retire_scratch: Vec::new(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.icfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    fn inflight_bytes(&self) -> u64 {
-        (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64
     }
 
     fn advance_cum(&mut self, epsn: u32, ctx: &mut EndpointCtx) {
-        if epsn <= self.snd_una {
+        let c = &mut self.core;
+        if !c.advance_una(epsn, ctx) {
             return;
         }
-        self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-        self.snd_una = epsn;
         while let Some(&p) = self.sacked.first() {
             if p < epsn {
                 self.sacked.remove(&p);
@@ -116,190 +79,122 @@ impl IrnSender {
             }
         }
         // Cumulative progress above SACKed holes subsumes them.
-        while self.sacked.remove(&self.snd_una) {
-            self.snd_una += 1;
+        while self.sacked.remove(&c.snd_una) {
+            c.snd_una += 1;
         }
-        let mut done = std::mem::take(&mut self.retire_scratch);
-        done.clear();
-        self.book.retire_psn_below_into(self.snd_una, &mut done);
-        for m in &done {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        self.retire_scratch = done;
-        if self.in_recovery && self.snd_una >= self.recovery_point {
+        c.complete_psn_below(c.snd_una, ctx);
+        if self.in_recovery && c.snd_una >= self.recovery_point {
             self.in_recovery = false;
             self.retx_done.clear();
             self.retx_q.clear();
         }
-        if self.snd_una < self.max_sent {
-            self.arm_rto(ctx);
-        } else {
-            self.rto_armed = false;
-        }
+        c.restart_rto(ctx);
     }
 
     /// Marks losses exposed by the SACK bitmap: every un-SACKed PSN below
     /// the highest SACKed one, not retransmitted in this episode.
     fn mark_losses(&mut self) {
         let Some(&hi) = self.sacked.last() else { return };
-        for psn in self.snd_una..hi {
+        for psn in self.core.snd_una..hi {
             if !self.sacked.contains(&psn) && self.retx_done.insert(psn) {
                 self.retx_q.push_back((psn, RetxCause::Sack));
             }
         }
     }
-
-    fn build(&mut self, psn: u32, is_retx: bool) -> Packet {
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        self.uid += 1;
-        data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid)
-    }
 }
 
 impl Endpoint for IrnSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.core.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
-        let pkt = ctx.pool.take(pkt);
-        match pkt.ext {
+        match ctx.pool.take(pkt).ext {
             PktExt::GbnAck { epsn } => {
                 self.advance_cum(epsn, ctx);
             }
             PktExt::Sack { epsn, sacked_psn } => {
                 self.advance_cum(epsn, ctx);
-                if sacked_psn >= self.snd_una {
+                if sacked_psn >= self.core.snd_una {
                     self.sacked.insert(sacked_psn);
                 }
                 if !self.in_recovery && !self.sacked.is_empty() {
                     self.in_recovery = true;
-                    self.recovery_point = self.snd_nxt;
+                    self.recovery_point = self.core.snd_nxt;
                 }
                 if self.in_recovery {
                     self.mark_losses();
                 }
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => self.core.on_cnp(ctx),
             _ => {}
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+        let c = &mut self.core;
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
+                if c.rto_fired(token) && c.unacked() {
+                    c.stats.timeouts += 1;
                     // Last resort: requeue every outstanding un-SACKed PSN.
                     self.retx_done.clear();
                     self.retx_q.clear();
-                    for psn in self.snd_una..self.snd_nxt {
+                    for psn in c.snd_una..c.snd_nxt {
                         if !self.sacked.contains(&psn) {
                             self.retx_q.push_back((psn, RetxCause::Timeout));
                             self.retx_done.insert(psn);
                         }
                     }
                     self.in_recovery = true;
-                    self.recovery_point = self.snd_nxt;
-                    self.arm_rto(ctx);
+                    self.recovery_point = c.snd_nxt;
+                    c.arm_rto(ctx);
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            tokens::CC_TICK => {
-                self.cc_tick_armed = false;
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    if !self.book.is_empty() {
-                        self.cc_tick_armed = true;
-                        ctx.timers.push((next, tokens::CC_TICK));
-                    }
-                }
-            }
-            _ => {}
+            _ => c.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        let pending = self.has_pending();
+        let c = &mut self.core;
+        if c.paced(ctx, pending) {
             return None;
         }
         // Retransmissions first (they occupy already-granted window).
         while let Some((psn, cause)) = self.retx_q.pop_front() {
-            if psn < self.snd_una || self.sacked.contains(&psn) {
+            if psn < c.snd_una || self.sacked.contains(&psn) {
                 continue; // already made it
             }
-            let mut pkt = self.build(psn, true);
+            let mut pkt = c.build(psn, true);
             pkt.retx_cause = cause;
-            self.stats.retx_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            return Some(ctx.pool.insert(pkt));
+            c.ensure_rto(ctx);
+            return Some(c.send(pkt, ctx));
         }
         // New data within the BDP window.
-        if self.snd_nxt < self.book.next_psn()
-            && self.cc.awin(self.inflight_bytes()) >= self.cfg.mtu as u64
-        {
-            let psn = self.snd_nxt;
-            let pkt = self.build(psn, false);
-            self.snd_nxt += 1;
-            self.max_sent = self.max_sent.max(self.snd_nxt);
-            self.stats.data_pkts += 1;
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            if !self.rto_armed {
-                self.arm_rto(ctx);
-            }
-            if !self.cc_tick_armed {
-                if let Some(next) = self.cc.on_tick(ctx.now) {
-                    self.cc_tick_armed = true;
-                    ctx.timers.push((next, tokens::CC_TICK));
-                }
-            }
-            return Some(ctx.pool.insert(pkt));
+        if c.has_unsent() && c.window_open() {
+            let (psn, _) = c.take_next();
+            let pkt = c.build(psn, false);
+            c.ensure_rto(ctx);
+            return Some(c.send(pkt, ctx));
         }
         None
     }
 
     fn has_pending(&self) -> bool {
-        !self.retx_q.is_empty() || self.snd_nxt < self.book.next_psn()
+        !self.retx_q.is_empty() || self.core.has_unsent()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.core.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.core.book.is_empty()
     }
 
     fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
-        self.cfg.rebind(flow, local, remote, true);
-        self.book.clear();
-        self.cc.reset();
-        self.snd_una = 0;
-        self.snd_nxt = 0;
-        self.max_sent = 0;
+        self.core.recycle(flow, local, remote);
         // B-tree bitmaps release their nodes here (§4.5's point: bitmap
         // state costs allocation churn that DCP's counters avoid).
         self.sacked.clear();
@@ -307,12 +202,6 @@ impl Endpoint for IrnSender {
         self.recovery_point = 0;
         self.retx_q.clear();
         self.retx_done.clear();
-        self.rto_gen += 1;
-        self.rto_armed = false;
-        self.pace_armed = false;
-        self.cc_tick_armed = false;
-        self.uid = 0;
-        self.stats = TransportStats::default();
         true
     }
 }
@@ -399,6 +288,8 @@ pub fn irn_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
+    use crate::common::{data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::Completion;
     use dcp_netsim::endpoint::{deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
@@ -504,7 +395,7 @@ mod tests {
             .chain(std::iter::empty())
             .rfind(|(_, tok)| tokens::kind(*tok) == tokens::RTO)
             .copied()
-            .unwrap_or((300_000, tokens::RTO | s.rto_gen));
+            .unwrap_or((300_000, tokens::RTO | s.core.rto_gen));
         s.on_timer(token, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
         assert_eq!(s.stats().timeouts, 1);
         let out = drain(&mut s, at + 1);

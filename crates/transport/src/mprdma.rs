@@ -14,9 +14,11 @@
 //! degree below its expected threshold" is exactly this drop behaviour
 //! interacting with path skew). Recovery is timeout + go-back-N.
 
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::cc::NoCc;
+use crate::common::{ack_packet, tokens, FlowCfg, Placement};
 use crate::rxcore::{Accept, RxCore};
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::txcore::SenderCore;
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -35,18 +37,11 @@ pub struct MpRdmaConfig {
     /// Receiver out-of-order acceptance window `L` in packets.
     pub ooo_window: u32,
     pub rto: Nanos,
-    pub cnp_interval: Nanos,
 }
 
 impl Default for MpRdmaConfig {
     fn default() -> Self {
-        MpRdmaConfig {
-            paths: 8,
-            init_cwnd: 16.0,
-            ooo_window: 64,
-            rto: 200 * US,
-            cnp_interval: 50 * US,
-        }
+        MpRdmaConfig { paths: 8, init_cwnd: 16.0, ooo_window: 64, rto: 200 * US }
     }
 }
 
@@ -56,45 +51,22 @@ struct Path {
     inflight: u32,
 }
 
-/// MP-RDMA sender.
+/// MP-RDMA sender. Its core holds [`NoCc`]: the per-path windows are the
+/// congestion control.
 pub struct MpRdmaSender {
-    cfg: FlowCfg,
-    mcfg: MpRdmaConfig,
-    book: TxBook,
+    core: SenderCore,
     paths: Vec<Path>,
     /// Outstanding PSN → path that carried it.
     on_path: BTreeMap<u32, u16>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
-    rto_gen: u64,
-    rto_armed: bool,
-    uid: u64,
-    stats: TransportStats,
 }
 
 impl MpRdmaSender {
     pub fn new(cfg: FlowCfg, mcfg: MpRdmaConfig) -> Self {
         MpRdmaSender {
-            cfg,
-            mcfg,
-            book: TxBook::new(),
+            core: SenderCore::new(cfg, Box::new(NoCc::default()), mcfg.rto),
             paths: vec![Path { cwnd: mcfg.init_cwnd, inflight: 0 }; mcfg.paths],
             on_path: BTreeMap::new(),
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
-            rto_gen: 0,
-            rto_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.mcfg.rto, tokens::RTO | self.rto_gen));
     }
 
     /// Path with the most spare window, if any.
@@ -108,23 +80,18 @@ impl MpRdmaSender {
         }
         best.map(|(i, _)| i)
     }
-
-    /// Aggregate window across all virtual paths (diagnostics).
-    pub fn total_cwnd(&self) -> f64 {
-        self.paths.iter().map(|p| p.cwnd).sum()
-    }
 }
 
 impl Endpoint for MpRdmaSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.core.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
         let pkt = ctx.pool.take(pkt);
         let PktExt::MpAck { epsn, acked_psn, path, ecn } = pkt.ext else {
             if pkt.ext == PktExt::Cnp {
-                self.stats.cnps += 1;
+                self.core.on_cnp(ctx);
             }
             return;
         };
@@ -140,11 +107,7 @@ impl Endpoint for MpRdmaSender {
             let p = &mut self.paths[carrier as usize];
             p.inflight = p.inflight.saturating_sub(1);
         }
-        if epsn > self.snd_una {
-            self.snd_una = epsn;
-            // After an RTO rewind, straggler ACKs can advance the
-            // cumulative pointer past the rewound snd_nxt.
-            self.snd_nxt = self.snd_nxt.max(epsn);
+        if self.core.cum_ack(epsn, ctx) {
             // Drop bookkeeping for everything cumulatively covered.
             let covered: Vec<u32> = self.on_path.range(..epsn).map(|(&p, _)| p).collect();
             for psn in covered {
@@ -153,86 +116,54 @@ impl Endpoint for MpRdmaSender {
                     p.inflight = p.inflight.saturating_sub(1);
                 }
             }
-            for m in self.book.retire_psn_below(epsn) {
-                ctx.completions.push(Completion {
-                    host: self.cfg.local,
-                    flow: self.cfg.flow,
-                    wr_id: m.wqe.wr_id,
-                    kind: CompletionKind::SendComplete,
-                    bytes: m.wqe.len,
-                    imm: 0,
-                    at: ctx.now,
-                });
-            }
-            if self.snd_una < self.max_sent {
-                self.arm_rto(ctx);
-            } else {
-                self.rto_armed = false;
-            }
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        if tokens::kind(token) == tokens::RTO
-            && self.rto_armed
-            && tokens::generation(token) == self.rto_gen
-            && self.snd_una < self.max_sent
-        {
+        let c = &mut self.core;
+        if tokens::kind(token) == tokens::RTO && c.rto_fired(token) && c.unacked() {
             // Go-back-N: rewind and clear path occupancy.
-            self.stats.timeouts += 1;
-            self.snd_nxt = self.snd_una;
+            c.stats.timeouts += 1;
+            c.snd_nxt = c.snd_una;
             self.on_path.clear();
             for p in &mut self.paths {
                 p.inflight = 0;
                 p.cwnd = (p.cwnd / 2.0).max(1.0);
             }
-            self.arm_rto(ctx);
+            c.arm_rto(ctx);
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
+        if !self.core.has_unsent() {
             return None;
         }
         let path = self.pick_path()?;
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
+        let c = &mut self.core;
+        let (psn, is_retx) = c.take_next();
+        let mut pkt = c.build(psn, is_retx);
         if is_retx {
             // Recovery is timeout + go-back-N: any resend traces to an RTO.
             pkt.retx_cause = RetxCause::Timeout;
         }
         // Virtual path = ECMP entropy: distinct UDP source port per path.
-        pkt.header.udp.src_port = self.cfg.sport.wrapping_add(path);
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
+        pkt.header.udp.src_port = c.cfg.sport.wrapping_add(path);
         self.paths[path as usize].inflight += 1;
         self.on_path.insert(psn, path);
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        Some(ctx.pool.insert(pkt))
+        c.ensure_rto(ctx);
+        Some(c.send(pkt, ctx))
     }
 
     fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
+        self.core.has_unsent()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.core.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.core.book.is_empty()
     }
 }
 
@@ -241,7 +172,6 @@ impl Endpoint for MpRdmaSender {
 pub struct MpRdmaReceiver {
     cfg: FlowCfg,
     rx: RxCore,
-    cnp: CnpGen,
     out: VecDeque<Packet>,
     uid: u64,
 }
@@ -249,13 +179,7 @@ pub struct MpRdmaReceiver {
 impl MpRdmaReceiver {
     pub fn new(cfg: FlowCfg, mcfg: MpRdmaConfig, placement: Placement) -> Self {
         let rx = RxCore::new(cfg.local, cfg.flow, mcfg.ooo_window, placement);
-        MpRdmaReceiver {
-            cfg,
-            rx,
-            cnp: CnpGen::new(mcfg.cnp_interval),
-            out: VecDeque::new(),
-            uid: 0,
-        }
+        MpRdmaReceiver { cfg, rx, out: VecDeque::new(), uid: 0 }
     }
 }
 
@@ -266,11 +190,8 @@ impl Endpoint for MpRdmaReceiver {
             return;
         }
         let path = pkt.header.udp.src_port.wrapping_sub(self.cfg.sport);
+        // MP-RDMA reacts to ECN per ACK (the echo below), not via CNPs.
         let ecn = pkt.header.ip.ecn_ce();
-        if ecn && self.cnp.should_send(ctx.now) {
-            // MP-RDMA reacts per-ACK; the CNP path is unused but kept for
-            // uniformity with DCQCN-style NPs.
-        }
         let psn = pkt.psn();
         match self.rx.on_data(&pkt, ctx) {
             Accept::Rejected => {
@@ -321,7 +242,8 @@ pub fn mprdma_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::{data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::{deliver, pull_owned, Completion};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;

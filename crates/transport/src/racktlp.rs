@@ -12,11 +12,12 @@
 //! one-RTT retransmission delay — is intrinsic to this structure.
 
 use crate::cc::CongestionControl;
-use crate::common::{data_packet, desc_at, tokens, FlowCfg, Placement, RttEstimator, TxBook};
+use crate::common::{tokens, FlowCfg, Placement, RttEstimator};
 use crate::irn::IrnConfig;
 use crate::irn::IrnReceiver;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
-use dcp_netsim::packet::PktExt;
+use crate::txcore::SenderCore;
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
+use dcp_netsim::packet::{Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
 use dcp_netsim::time::{Nanos, US};
@@ -66,12 +67,8 @@ struct TxRecord {
 
 /// RACK-TLP sender.
 pub struct RackSender {
-    cfg: FlowCfg,
+    core: SenderCore,
     rcfg: RackConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
     /// Outstanding, un-ACKed packets with their last transmit time.
     outstanding: BTreeMap<u32, TxRecord>,
     rtt: RttEstimator,
@@ -79,36 +76,22 @@ pub struct RackSender {
     rack_xmit: Nanos,
     retx_q: VecDeque<(u32, RetxCause)>,
     probe_gen: u64,
-    rto_gen: u64,
-    rto_armed: bool,
     /// Consecutive cumulative ACKs that failed to advance `snd_una` — the
     /// signal a TLP probe elicits when the receiver is stuck on a hole.
     dup_acks: u32,
-    pace_armed: bool,
-    uid: u64,
-    stats: TransportStats,
 }
 
 impl RackSender {
     pub fn new(cfg: FlowCfg, rcfg: RackConfig, cc: Box<dyn CongestionControl>) -> Self {
         RackSender {
-            cfg,
+            core: SenderCore::new(cfg, cc, rcfg.rto),
             rcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
             outstanding: BTreeMap::new(),
             rtt: RttEstimator::new(rcfg.initial_rtt),
             rack_xmit: 0,
             retx_q: VecDeque::new(),
             probe_gen: 0,
-            rto_gen: 0,
-            rto_armed: false,
             dup_acks: 0,
-            pace_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
         }
     }
 
@@ -123,23 +106,19 @@ impl RackSender {
         self.ensure_rto(ctx);
     }
 
-    /// Restarts the RTO clock. Only called on forward progress (cumulative
-    /// advance, an RTO round) — a TLP probe or duplicate ACK must never
+    /// Arms the RTO only when none is pending, leaving a running clock
+    /// untouched: the clock restarts only on forward progress (cumulative
+    /// advance, an RTO round). A TLP probe or duplicate ACK must never
     /// push the fallback out (RFC 6298 §5.3 restarts on ACKs *of new
     /// data*), or a probe→dup-ACK cycle shorter than the RTO would defer
-    /// it forever while the receiver's hole is never retransmitted.
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.rcfg.rto, tokens::RTO | self.rto_gen));
-    }
-
-    /// Arms the RTO only when none is pending, leaving a running clock
-    /// untouched. (The broken regression shim restarts it unconditionally —
-    /// the pre-fix behaviour that lets probes defer the fallback forever.)
+    /// it forever while the receiver's hole is never retransmitted. (The
+    /// broken regression shim restarts it unconditionally — the pre-fix
+    /// behaviour.)
     fn ensure_rto(&mut self, ctx: &mut EndpointCtx) {
-        if self.rcfg.broken_rto_restart || !self.rto_armed {
-            self.arm_rto(ctx);
+        if self.rcfg.broken_rto_restart {
+            self.core.arm_rto(ctx);
+        } else {
+            self.core.ensure_rto(ctx);
         }
     }
 
@@ -173,47 +152,36 @@ impl RackSender {
         }
     }
 
-    /// Returns whether `snd_una` advanced.
+    /// Returns whether `snd_una` advanced. Forward progress restarts the
+    /// fallback clock (or stops it when everything is acknowledged).
     fn advance_cum(&mut self, epsn: u32, ctx: &mut EndpointCtx) -> bool {
-        if epsn <= self.snd_una {
+        if epsn <= self.core.snd_una {
             return false;
         }
-        self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
         let covered: Vec<u32> = self.outstanding.range(..epsn).map(|(&p, _)| p).collect();
         for p in covered {
             self.on_delivered(p, ctx);
         }
-        self.snd_una = epsn;
-        for m in self.book.retire_psn_below(epsn) {
-            ctx.completions.push(Completion {
-                host: self.cfg.local,
-                flow: self.cfg.flow,
-                wr_id: m.wqe.wr_id,
-                kind: CompletionKind::SendComplete,
-                bytes: m.wqe.len,
-                imm: 0,
-                at: ctx.now,
-            });
-        }
-        // Forward progress: restart the fallback clock (or stop it when
-        // everything is acknowledged).
-        if self.snd_una < self.snd_nxt {
-            self.arm_rto(ctx);
-        } else {
-            self.rto_armed = false;
-        }
-        true
+        self.core.cum_ack(epsn, ctx)
+    }
+
+    /// Sends `pkt` with a fresh transmit timestamp and re-arms the probe.
+    fn transmit(&mut self, pkt: Packet, ctx: &mut EndpointCtx) -> PktRef {
+        let rec = TxRecord { sent_at: ctx.now, retx: pkt.is_retx };
+        self.outstanding.insert(pkt.psn(), rec);
+        let pkt = self.core.send(pkt, ctx);
+        self.arm_probe(ctx);
+        pkt
     }
 }
 
 impl Endpoint for RackSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.core.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
-        let pkt = ctx.pool.take(pkt);
-        match pkt.ext {
+        match ctx.pool.take(pkt).ext {
             PktExt::GbnAck { epsn } => {
                 let advanced = self.advance_cum(epsn, ctx);
                 // A cumulative ACK that doesn't move is the receiver saying
@@ -225,8 +193,8 @@ impl Endpoint for RackSender {
                 if advanced {
                     self.dup_acks = 0;
                 } else if !self.rcfg.broken_rto_restart
-                    && epsn == self.snd_una
-                    && epsn < self.snd_nxt
+                    && epsn == self.core.snd_una
+                    && epsn < self.core.snd_nxt
                 {
                     self.dup_acks += 1;
                     if self.dup_acks >= 2 {
@@ -252,10 +220,7 @@ impl Endpoint for RackSender {
                     self.arm_probe(ctx);
                 }
             }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
+            PktExt::Cnp => self.core.on_cnp(ctx),
             _ => {}
         }
     }
@@ -273,11 +238,10 @@ impl Endpoint for RackSender {
                 }
             }
             tokens::RTO => {
-                if tokens::generation(token) == self.rto_gen
-                    && self.rto_armed
-                    && (!self.outstanding.is_empty() || self.snd_una < self.snd_nxt)
+                if self.core.rto_fired(token)
+                    && (!self.outstanding.is_empty() || self.core.unacked())
                 {
-                    self.stats.timeouts += 1;
+                    self.core.stats.timeouts += 1;
                     let all: Vec<u32> = self.outstanding.keys().copied().collect();
                     for p in all {
                         self.outstanding.remove(&p);
@@ -285,68 +249,45 @@ impl Endpoint for RackSender {
                     }
                     // An expired round restarts its own clock; `arm_probe`
                     // alone must not, or probes would starve the fallback.
-                    self.arm_rto(ctx);
+                    self.core.arm_rto(ctx);
                     self.arm_probe(ctx);
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            _ => {}
+            _ => self.core.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if self.has_pending() && !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
+        let pending = self.has_pending();
+        if self.core.paced(ctx, pending) {
             return None;
         }
         while let Some((psn, cause)) = self.retx_q.pop_front() {
-            if psn < self.snd_una {
+            if psn < self.core.snd_una {
                 continue;
             }
-            let (m, _) = self.book.locate(psn).expect("psn locates");
-            let m = *m;
-            let desc = desc_at(&m, self.cfg.mtu, psn);
-            self.uid += 1;
-            let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, true, self.uid);
+            let mut pkt = self.core.build(psn, true);
             pkt.retx_cause = cause;
-            self.stats.retx_pkts += 1;
-            self.outstanding.insert(psn, TxRecord { sent_at: ctx.now, retx: true });
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            self.arm_probe(ctx);
-            return Some(ctx.pool.insert(pkt));
+            return Some(self.transmit(pkt, ctx));
         }
-        let inflight = (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64;
-        if self.snd_nxt < self.book.next_psn() && self.cc.awin(inflight) >= self.cfg.mtu as u64 {
-            let psn = self.snd_nxt;
-            let (m, _) = self.book.locate(psn).expect("psn locates");
-            let m = *m;
-            let desc = desc_at(&m, self.cfg.mtu, psn);
-            self.uid += 1;
-            let pkt = data_packet(&self.cfg, &m, desc, psn, 0, false, self.uid);
-            self.snd_nxt += 1;
-            self.stats.data_pkts += 1;
-            self.outstanding.insert(psn, TxRecord { sent_at: ctx.now, retx: false });
-            self.cc.on_send(ctx.now, pkt.wire_bytes());
-            self.arm_probe(ctx);
-            return Some(ctx.pool.insert(pkt));
+        if self.core.has_unsent() && self.core.window_open() {
+            let (psn, _) = self.core.take_next();
+            let pkt = self.core.build(psn, false);
+            return Some(self.transmit(pkt, ctx));
         }
         None
     }
 
     fn has_pending(&self) -> bool {
-        !self.retx_q.is_empty() || self.snd_nxt < self.book.next_psn()
+        !self.retx_q.is_empty() || self.core.has_unsent()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.core.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.core.book.is_empty()
     }
 }
 
@@ -370,6 +311,7 @@ mod tests {
     use super::*;
     use crate::cc::StaticWindow;
     use crate::common::ack_packet;
+    use dcp_netsim::endpoint::Completion;
     use dcp_netsim::endpoint::{deliver, pull_owned};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
@@ -555,5 +497,30 @@ mod tests {
         }
         s.on_timer(rto_token, &mut ctx(rto_at, &mut pool, &mut t, &mut c, &mut r));
         assert_eq!(s.stats().timeouts, 1, "the original RTO token still fires");
+    }
+
+    #[test]
+    fn dcqcn_tick_is_armed_on_send_and_rearmed_when_it_fires() {
+        use crate::cc::{Dcqcn, DcqcnConfig};
+        let mut s = RackSender::new(
+            cfg(),
+            RackConfig::default(),
+            Box::new(Dcqcn::new(DcqcnConfig::default())),
+        );
+        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 16 * 1024);
+        let (mut pool, mut t, mut c, mut r) =
+            (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
+        assert!(pull_owned(&mut s, &mut pool, 0, &mut t, &mut c, &mut r).is_some());
+        let ticks = |t: &[(Nanos, u64)]| {
+            t.iter().filter(|(_, tok)| tokens::kind(*tok) == tokens::CC_TICK).count()
+        };
+        assert_eq!(ticks(&t), 1, "the first send starts the CC tick");
+        pull_owned(&mut s, &mut pool, 10_000, &mut t, &mut c, &mut r);
+        assert_eq!(ticks(&t), 1, "a running tick is not armed twice");
+        let (at, token) =
+            t.iter().find(|(_, tok)| tokens::kind(*tok) == tokens::CC_TICK).copied().unwrap();
+        s.on_timer(token, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
+        assert_eq!(ticks(&t), 2, "the tick re-arms while messages are outstanding");
+        assert!(t.last().unwrap().0 > at);
     }
 }

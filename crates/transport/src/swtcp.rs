@@ -16,9 +16,10 @@
 //! the clean back-to-back link the figure uses.
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, FlowCfg, Placement, TxBook};
+use crate::common::{ack_packet, tokens, FlowCfg, Placement};
 use crate::rxcore::RxCore;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
+use crate::txcore::SenderCore;
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
 use dcp_netsim::packet::{Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
@@ -46,148 +47,74 @@ impl Default for SwTcpConfig {
 
 /// Sender side of the model.
 pub struct SwTcpSender {
-    cfg: FlowCfg,
-    tcfg: SwTcpConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
+    core: SenderCore,
+    cpu_per_pkt: Nanos,
     next_cpu_free: Nanos,
-    pace_armed: bool,
-    rto_gen: u64,
-    rto_armed: bool,
-    uid: u64,
-    stats: TransportStats,
 }
 
 impl SwTcpSender {
     pub fn new(cfg: FlowCfg, tcfg: SwTcpConfig, cc: Box<dyn CongestionControl>) -> Self {
         SwTcpSender {
-            cfg,
-            tcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
+            core: SenderCore::new(cfg, cc, tcfg.rto),
+            cpu_per_pkt: tcfg.cpu_per_pkt,
             next_cpu_free: 0,
-            pace_armed: false,
-            rto_gen: 0,
-            rto_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
         }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.tcfg.rto, tokens::RTO | self.rto_gen));
     }
 }
 
 impl Endpoint for SwTcpSender {
     fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
+        self.core.post(wr_id, op, len);
     }
 
     fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
-        let pkt = ctx.pool.take(pkt);
-        if let PktExt::TcpAck { ack_seq } = pkt.ext {
-            let epsn = (ack_seq / self.cfg.mtu as u64) as u32;
-            if epsn > self.snd_una {
-                self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-                self.snd_una = epsn;
-                for m in self.book.retire_psn_below(epsn) {
-                    ctx.completions.push(Completion {
-                        host: self.cfg.local,
-                        flow: self.cfg.flow,
-                        wr_id: m.wqe.wr_id,
-                        kind: CompletionKind::SendComplete,
-                        bytes: m.wqe.len,
-                        imm: 0,
-                        at: ctx.now,
-                    });
-                }
-                if self.snd_una < self.max_sent {
-                    self.arm_rto(ctx);
-                } else {
-                    self.rto_armed = false;
-                }
-            }
+        if let PktExt::TcpAck { ack_seq } = ctx.pool.take(pkt).ext {
+            let epsn = (ack_seq / self.core.cfg.mtu as u64) as u32;
+            self.core.cum_ack(epsn, ctx);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
+        let c = &mut self.core;
         match tokens::kind(token) {
             tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
-                    self.snd_nxt = self.snd_una;
-                    self.arm_rto(ctx);
+                if c.rto_fired(token) && c.unacked() {
+                    c.stats.timeouts += 1;
+                    c.snd_nxt = c.snd_una;
+                    c.arm_rto(ctx);
                 }
             }
-            tokens::PACE => self.pace_armed = false,
-            _ => {}
+            _ => c.on_timer(token, ctx),
         }
     }
 
     fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
-            return None;
-        }
+        let c = &mut self.core;
         // CPU gate: one packet per cpu_per_pkt.
-        if self.next_cpu_free > ctx.now {
-            if !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((self.next_cpu_free, tokens::PACE));
-            }
+        if !c.has_unsent() || c.hold_until(self.next_cpu_free, ctx, true) || !c.window_open() {
             return None;
         }
-        let inflight = (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64;
-        if self.cc.awin(inflight) < self.cfg.mtu as u64 {
-            return None;
-        }
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
+        let (psn, is_retx) = c.take_next();
+        let mut pkt = c.build(psn, is_retx);
         if is_retx {
             // The model recovers by RTO rewind only.
             pkt.retx_cause = RetxCause::Timeout;
         }
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        self.next_cpu_free = ctx.now + self.tcfg.cpu_per_pkt;
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
-        self.cc.on_send(ctx.now, pkt.wire_bytes());
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        Some(ctx.pool.insert(pkt))
+        self.next_cpu_free = ctx.now + self.cpu_per_pkt;
+        c.ensure_rto(ctx);
+        Some(c.send(pkt, ctx))
     }
 
     fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
+        self.core.has_unsent()
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.core.stats
     }
 
     fn is_done(&self) -> bool {
-        self.book.is_empty()
+        self.core.book.is_empty()
     }
 }
 
@@ -276,7 +203,8 @@ pub fn swtcp_pair(
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
-    use dcp_netsim::endpoint::{deliver, pull_owned};
+    use crate::common::{data_packet, desc_at, TxBook};
+    use dcp_netsim::endpoint::{deliver, pull_owned, Completion};
     use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
     use dcp_rdma::headers::DcpTag;
@@ -336,5 +264,36 @@ mod tests {
         assert_eq!(c.len(), 1, "delivered after stack latency");
         assert_eq!(c[0].at, 13_000);
         assert!(rx.has_pending(), "ACK queued");
+    }
+
+    /// An RTO rewind followed by a cumulative ACK that retires the whole
+    /// message: the ACK must pull `snd_nxt` past the retired range, or the
+    /// next pull looks up a PSN no message owns.
+    #[test]
+    fn cumulative_ack_after_rto_rewind_clamps_snd_nxt() {
+        let mut s = SwTcpSender::new(
+            cfg(),
+            SwTcpConfig::default(),
+            Box::new(StaticWindow { window_bytes: 1 << 20 }),
+        );
+        s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 4 * 1024);
+        let (mut pool, mut t, mut c, mut r) =
+            (PacketPool::new(), vec![], vec![], StdRng::seed_from_u64(0));
+        let mut now = 0;
+        while s.has_pending() {
+            if pull_owned(&mut s, &mut pool, now, &mut t, &mut c, &mut r).is_none() {
+                now += 150;
+            }
+        }
+        let (at, token) =
+            t.iter().rfind(|(_, tok)| tokens::kind(*tok) == tokens::RTO).copied().unwrap();
+        s.on_timer(token, &mut ctx(at, &mut pool, &mut t, &mut c, &mut r));
+        assert_eq!(s.stats().timeouts, 1);
+        assert!(s.has_pending(), "the rewind queues the whole message again");
+        let ack = ack_packet(&FlowCfg::receiver_of(&cfg()), PktExt::TcpAck { ack_seq: 4096 }, 0, 0);
+        deliver(&mut s, &mut pool, ack, at + 1, &mut t, &mut c, &mut r);
+        assert_eq!(c.len(), 1, "the ACK completes the message");
+        assert!(pull_owned(&mut s, &mut pool, at + 1_000, &mut t, &mut c, &mut r).is_none());
+        assert!(!s.has_pending() && s.is_done());
     }
 }

@@ -3,182 +3,23 @@
 //! (so adaptive routing works) but gives the sender no loss signal; the
 //! sender recovers purely by retransmission timeout, rewinding to the
 //! cumulative pointer.
+//!
+//! That sender is [`GbnSender`]: with no NAK ever arriving, its only
+//! rewind is the RTO, and every resend is stamped `Timeout`. What makes
+//! the transport timeout-only is the receiver here.
 
 use crate::cc::CongestionControl;
-use crate::common::{ack_packet, data_packet, desc_at, tokens, CnpGen, FlowCfg, Placement, TxBook};
+use crate::common::{ack_packet, CnpGen, FlowCfg, Placement};
+use crate::gbn::{GbnConfig, GbnSender};
 use crate::rxcore::RxCore;
-use dcp_netsim::endpoint::{Completion, CompletionKind, Endpoint, EndpointCtx};
-use dcp_netsim::packet::{Packet, PktExt};
+use dcp_netsim::endpoint::{Endpoint, EndpointCtx};
+use dcp_netsim::packet::{FlowId, NodeId, Packet, PktExt};
 use dcp_netsim::pool::PktRef;
 use dcp_netsim::stats::TransportStats;
-use dcp_netsim::time::{Nanos, US};
-use dcp_netsim::RetxCause;
-use dcp_rdma::qp::WorkReqOp;
 use std::collections::VecDeque;
 
-/// Tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeoutOnlyConfig {
-    pub rto: Nanos,
-    pub cnp_interval: Nanos,
-}
-
-impl Default for TimeoutOnlyConfig {
-    fn default() -> Self {
-        TimeoutOnlyConfig { rto: 200 * US, cnp_interval: 50 * US }
-    }
-}
-
-/// Sender: window-limited transmission, cumulative ACKs, RTO-only recovery.
-pub struct TimeoutOnlySender {
-    cfg: FlowCfg,
-    tcfg: TimeoutOnlyConfig,
-    book: TxBook,
-    cc: Box<dyn CongestionControl>,
-    snd_una: u32,
-    snd_nxt: u32,
-    max_sent: u32,
-    rto_gen: u64,
-    rto_armed: bool,
-    pace_armed: bool,
-    uid: u64,
-    stats: TransportStats,
-}
-
-impl TimeoutOnlySender {
-    pub fn new(cfg: FlowCfg, tcfg: TimeoutOnlyConfig, cc: Box<dyn CongestionControl>) -> Self {
-        TimeoutOnlySender {
-            cfg,
-            tcfg,
-            book: TxBook::new(),
-            cc,
-            snd_una: 0,
-            snd_nxt: 0,
-            max_sent: 0,
-            rto_gen: 0,
-            rto_armed: false,
-            pace_armed: false,
-            uid: 0,
-            stats: TransportStats::default(),
-        }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.timers.push((ctx.now + self.tcfg.rto, tokens::RTO | self.rto_gen));
-    }
-}
-
-impl Endpoint for TimeoutOnlySender {
-    fn post(&mut self, wr_id: u64, op: WorkReqOp, len: u64) {
-        self.book.post(wr_id, op, len, self.cfg.mtu);
-    }
-
-    fn on_packet(&mut self, pkt: PktRef, ctx: &mut EndpointCtx) {
-        let pkt = ctx.pool.take(pkt);
-        match pkt.ext {
-            PktExt::GbnAck { epsn } => {
-                if epsn > self.snd_una {
-                    self.cc.on_ack(ctx.now, (epsn - self.snd_una) as u64 * self.cfg.mtu as u64);
-                    self.snd_una = epsn;
-                    self.snd_nxt = self.snd_nxt.max(epsn);
-                    for m in self.book.retire_psn_below(epsn) {
-                        ctx.completions.push(Completion {
-                            host: self.cfg.local,
-                            flow: self.cfg.flow,
-                            wr_id: m.wqe.wr_id,
-                            kind: CompletionKind::SendComplete,
-                            bytes: m.wqe.len,
-                            imm: 0,
-                            at: ctx.now,
-                        });
-                    }
-                    if self.snd_una < self.max_sent {
-                        self.arm_rto(ctx);
-                    } else {
-                        self.rto_armed = false;
-                    }
-                }
-            }
-            PktExt::Cnp => {
-                self.stats.cnps += 1;
-                self.cc.on_congestion(ctx.now);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut EndpointCtx) {
-        match tokens::kind(token) {
-            tokens::RTO => {
-                if self.rto_armed
-                    && tokens::generation(token) == self.rto_gen
-                    && self.snd_una < self.max_sent
-                {
-                    self.stats.timeouts += 1;
-                    self.snd_nxt = self.snd_una;
-                    self.arm_rto(ctx);
-                }
-            }
-            tokens::PACE => self.pace_armed = false,
-            _ => {}
-        }
-    }
-
-    fn pull(&mut self, ctx: &mut EndpointCtx) -> Option<PktRef> {
-        if self.snd_nxt >= self.book.next_psn() {
-            return None;
-        }
-        let t = self.cc.next_send_time(ctx.now);
-        if t > ctx.now {
-            if !self.pace_armed {
-                self.pace_armed = true;
-                ctx.timers.push((t, tokens::PACE));
-            }
-            return None;
-        }
-        let inflight = (self.snd_nxt.saturating_sub(self.snd_una)) as u64 * self.cfg.mtu as u64;
-        if self.cc.awin(inflight) < self.cfg.mtu as u64 {
-            return None;
-        }
-        let psn = self.snd_nxt;
-        let (m, _) = self.book.locate(psn).expect("psn locates");
-        let m = *m;
-        let desc = desc_at(&m, self.cfg.mtu, psn);
-        let is_retx = psn < self.max_sent;
-        self.uid += 1;
-        let mut pkt = data_packet(&self.cfg, &m, desc, psn, 0, is_retx, self.uid);
-        if is_retx {
-            // RTO rewind is the only loss signal this transport has.
-            pkt.retx_cause = RetxCause::Timeout;
-        }
-        self.snd_nxt += 1;
-        self.max_sent = self.max_sent.max(self.snd_nxt);
-        if is_retx {
-            self.stats.retx_pkts += 1;
-        } else {
-            self.stats.data_pkts += 1;
-        }
-        self.cc.on_send(ctx.now, pkt.wire_bytes());
-        if !self.rto_armed {
-            self.arm_rto(ctx);
-        }
-        Some(ctx.pool.insert(pkt))
-    }
-
-    fn has_pending(&self) -> bool {
-        self.snd_nxt < self.book.next_psn()
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.stats
-    }
-
-    fn is_done(&self) -> bool {
-        self.book.is_empty()
-    }
-}
+/// Tunables: the GBN sender's, with the same defaults.
+pub type TimeoutOnlyConfig = GbnConfig;
 
 /// Receiver: order-tolerant direct placement, cumulative ACK only.
 pub struct TimeoutOnlyReceiver {
@@ -239,27 +80,41 @@ impl Endpoint for TimeoutOnlyReceiver {
     fn is_done(&self) -> bool {
         self.out.is_empty()
     }
+
+    fn recycle(&mut self, flow: FlowId, local: NodeId, remote: NodeId) -> bool {
+        self.cfg.rebind(flow, local, remote, false);
+        self.rx.recycle(local, flow);
+        self.cnp.reset();
+        self.out.clear();
+        self.uid = 0;
+        true
+    }
 }
 
-/// Builds a connected timeout-only pair.
+/// Builds a connected timeout-only pair: the GBN sender facing an
+/// order-tolerant receiver that never NAKs.
 pub fn timeout_only_pair(
     cfg: FlowCfg,
     tcfg: TimeoutOnlyConfig,
     cc: Box<dyn CongestionControl>,
     placement: Placement,
-) -> (TimeoutOnlySender, TimeoutOnlyReceiver) {
+) -> (GbnSender, TimeoutOnlyReceiver) {
     let rcfg = FlowCfg::receiver_of(&cfg);
-    (TimeoutOnlySender::new(cfg, tcfg, cc), TimeoutOnlyReceiver::new(rcfg, tcfg, placement))
+    (GbnSender::new(cfg, tcfg, cc), TimeoutOnlyReceiver::new(rcfg, tcfg, placement))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cc::StaticWindow;
+    use crate::common::{data_packet, desc_at, tokens, TxBook};
+    use dcp_netsim::endpoint::Completion;
     use dcp_netsim::endpoint::{deliver, pull_owned};
-    use dcp_netsim::packet::{FlowId, NodeId};
     use dcp_netsim::pool::PacketPool;
+    use dcp_netsim::time::Nanos;
+    use dcp_netsim::RetxCause;
     use dcp_rdma::headers::DcpTag;
+    use dcp_rdma::qp::WorkReqOp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -279,10 +134,11 @@ mod tests {
 
     #[test]
     fn no_fast_retransmit_only_rto() {
-        let mut s = TimeoutOnlySender::new(
+        let (mut s, _) = timeout_only_pair(
             cfg(),
             TimeoutOnlyConfig::default(),
             Box::new(StaticWindow { window_bytes: 8 * 1024 }),
+            Placement::Virtual,
         );
         s.post(1, WorkReqOp::Write { remote_addr: 0, rkey: 0 }, 8 * 1024);
         let (mut pool, mut t, mut c, mut r) =
@@ -299,6 +155,7 @@ mod tests {
         let p = pull_owned(&mut s, &mut pool, at, &mut t, &mut c, &mut r).unwrap();
         assert_eq!(p.psn(), 3);
         assert!(p.is_retx);
+        assert_eq!(p.retx_cause, RetxCause::Timeout, "the RTO is the only loss signal");
         assert_eq!(s.stats().timeouts, 1);
     }
 

@@ -52,7 +52,9 @@ fn run_one_message(sim: &mut Simulator, src: dcp_netsim::packet::NodeId, flow: F
 /// start) matches a fresh pair's on the same fabric.
 #[test]
 fn recycle_is_trace_equivalent_to_fresh() {
-    for kind in [TransportKind::Dcp, TransportKind::Gbn, TransportKind::Irn] {
+    for kind in
+        [TransportKind::Dcp, TransportKind::Gbn, TransportKind::Irn, TransportKind::TimeoutOnly]
+    {
         // Reference: two fresh pairs run back-to-back on one fabric.
         let fresh = {
             let (mut sim, topo) = testbed(23);
